@@ -1,0 +1,86 @@
+"""Golden fingerprint of the workbench's outputs.
+
+Identical configurations reproduce byte-identical artifacts, so a refactor
+that must not change behaviour can prove it: these hashes stay fixed.  A
+deliberate behaviour change updates them and says why in CHANGES.md.  The
+hashes were taken with 64-bit NumPy on x86-64; another BLAS build may round
+the normal equations differently and shift them.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from servoneuro import mlp
+from servoneuro import training as tr
+from servoneuro.cli import main
+from servoneuro.experiment import StepExperimentConfig, build_inverse_dataset, run_step_experiment
+from servoneuro.plant import MotorParams
+
+CLI_ARTIFACTS = {
+    "lm": {
+        "controller.net": "a72850ec11fb63e2c7be731022a6c5d4fc84ec9ff7544629b56248cab9b55d40",
+        "train_report.csv": "2fc8f2e67c284e2903daae16410f011b2168bb78e1cdd9153d4afc2876941c72",
+        "indices.csv": "42a2bffc9756d2b3abc7f89aac66d45eda99d8b9aacbae817704596f28fbbc19",
+    },
+    "br": {
+        "controller.net": "5c42cc5857cee13cfff0820d472ce6f50c2c8bd396960d7822371b640ad292ba",
+        "train_report.csv": "678405f2bed73a5f8672ac451dc170f18cefac2ae3b4c4d3522661583d4381c7",
+        "indices.csv": "2fa99d2dbb344504b6a606a0b0a9dfe9e1c3007d1ccc33d8f885589d449f2722",
+    },
+    "early_stop": {
+        "controller.net": "758e1bcaca959dd6ee0a5d8a0dac3004f900e6f4b18e8789d284e1fa0b2eeaf4",
+        "train_report.csv": "3910ead7aeafe65905a5173b126dd67378659f34d650f70620543111e6b8339c",
+        "indices.csv": "6f1ea28ca58710b61b2b7eec19881bb8bfb957b72e49d5e297666a913f6dc685",
+    },
+}
+
+# (final weights, report records + stop reason) in the criterion-6 setting, seed 0
+CRITERION_6 = {
+    "lm": (
+        "bb82554a04ca82a0a70f580a2e782d6ccf3a54e954905a4f96b4e1dd2b24cfaa",
+        "baea06b63aa13dc268f357f5806ed4d2d6b870162ecb4330522e4e9eac86b649",
+    ),
+    "br": (
+        "19e2dcdf68f4d8663b85bfabba91692bb2998bb4c8ea2181eb5b8925c285423b",
+        "61678de6f57d3a0d153020d47b7c104914259da0d8944efa8c7533e3d4db00b0",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", sorted(CLI_ARTIFACTS))
+def test_zero_config_pipeline_artifacts(tmp_path, algorithm):
+    out = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"trainer: {{algorithm: {algorithm}}}\n"
+        "evaluation: {seeds: [0, 1]}\n"
+        f"output_dir: {out}\n"
+    )
+    args = ["--config", str(config)]
+    for command in (["collect"], ["train"], ["control", str(out / "controller.net")]):
+        assert main(args + command) == 0
+    hashes = {name: sha256((out / name).read_bytes()) for name in CLI_ARTIFACTS[algorithm]}
+    assert hashes == CLI_ARTIFACTS[algorithm]
+
+
+def test_criterion_6_training_seed_0():
+    plant = MotorParams(gain=0.2, tau=0.25, noise_sigma=0.02)
+    log = run_step_experiment(plant, StepExperimentConfig(seed=0, num_steps=60, dwell_samples=30))
+    ds = build_inverse_dataset(log)
+    net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=0, scale=0.5)
+    lm = tr.LmConfig(max_epochs=150)
+    runs = {"lm": tr.train_lm(net, ds, lm), "br": tr.train_br(net, ds, tr.BrConfig(lm=lm))}
+    for name, (trained, report) in runs.items():
+        assert report.final_weights.tobytes() == trained.weights.tobytes()
+        records = "\n".join(repr(dataclasses.astuple(r)) for r in report.records)
+        got = (
+            sha256(trained.weights.tobytes()),
+            sha256((records + report.stop_reason.value).encode()),
+        )
+        assert got == CRITERION_6[name], name
