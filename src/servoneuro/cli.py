@@ -39,6 +39,10 @@ class NetworkSpec:
     init_seed: int = 0
     init_scale: float = 0.5
 
+    def __post_init__(self):
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be nonnegative")
+
 
 @dataclass(frozen=True)
 class TrainerSpec:
@@ -66,16 +70,16 @@ class WorkbenchConfig:
 
 # --- config parsing --------------------------------------------------------
 
-_LM_KEYS = (
-    "lambda_init",
-    "lambda_increase",
-    "lambda_decrease",
-    "lambda_max",
-    "max_epochs",
-    "goal_ed",
-)
-_BR_KEYS = ("alpha_init", "beta_init", "reestimate_every")
-_ES_KEYS = ("validation_fraction", "patience", "split_seed")
+# Trainer functions are named, not bound, so they are looked up in the
+# training module at call time (where profilers and tracers wrap them).
+_TRAINERS = {
+    "lm": (tr.LmConfig, "train_lm"),
+    "br": (tr.BrConfig, "train_br"),
+    "early_stop": (tr.EarlyStopConfig, "train_early_stopping"),
+}
+
+# Accepted Python types per declared field type; a bool is never a number.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "tuple": (list, tuple)}
 
 
 def _check_keys(mapping, allowed, section):
@@ -84,45 +88,46 @@ def _check_keys(mapping, allowed, section):
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def _build_dataclass(cls, mapping, section):
-    names = [f.name for f in dataclasses.fields(cls)]
-    _check_keys(mapping, names, section)
+    """Build `cls` from a config mapping, checking each value against its
+    field's declared type (int, float or tuple) before the class's own checks."""
+    declared = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
+    _check_keys(mapping, declared, section)
+    kwargs = {}
+    for name, value in mapping.items():
+        kind = declared[name]
+        accepted = _FIELD_TYPES.get(kind)
+        if accepted is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ConfigError(f"'{section}.{name}' must be {kind}, got {value!r}")
+        kwargs[name] = tuple(value) if kind == "tuple" else value
     try:
-        return cls(**mapping)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{section}' configuration: {exc}") from exc
 
 
 def _build_trainer(mapping):
-    _check_keys(mapping, ("algorithm",) + _LM_KEYS + _BR_KEYS + _ES_KEYS, "trainer")
-    algorithm = mapping.get("algorithm", "lm")
-    lm_kwargs = {k: mapping[k] for k in _LM_KEYS if k in mapping}
-    try:
-        lm_cfg = tr.LmConfig(**lm_kwargs)
-        if algorithm == "lm":
-            extra = set(mapping) & set(_BR_KEYS + _ES_KEYS)
-            if extra:
-                raise ConfigError(f"key(s) {sorted(extra)} not valid for trainer 'lm'")
-            return TrainerSpec("lm", lm_cfg)
-        if algorithm == "br":
-            extra = set(mapping) & set(_ES_KEYS)
-            if extra:
-                raise ConfigError(f"key(s) {sorted(extra)} not valid for trainer 'br'")
-            kwargs = {k: mapping[k] for k in _BR_KEYS if k in mapping}
-            return TrainerSpec("br", tr.BrConfig(lm=lm_cfg, **kwargs))
-        if algorithm == "early_stop":
-            extra = set(mapping) & set(_BR_KEYS)
-            if extra:
-                raise ConfigError(
-                    f"key(s) {sorted(extra)} not valid for trainer 'early_stop'"
-                )
-            kwargs = {k: mapping[k] for k in _ES_KEYS if k in mapping}
-            return TrainerSpec("early_stop", tr.EarlyStopConfig(lm=lm_cfg, **kwargs))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid 'trainer' configuration: {exc}") from exc
-    raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use lm, br, early_stop)")
+    """Trainer keys are the fields of LmConfig plus, for br and early_stop,
+    the fields of BrConfig or EarlyStopConfig other than `lm`."""
+    mapping = dict(mapping)
+    algorithm = mapping.pop("algorithm", "lm")
+    if not isinstance(algorithm, str) or algorithm not in _TRAINERS:
+        raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use lm, br, early_stop)")
+    cls = _TRAINERS[algorithm][0]
+    lm_keys = _field_names(tr.LmConfig)
+    own_keys = [] if cls is tr.LmConfig else [k for k in _field_names(cls) if k != "lm"]
+    _check_keys(mapping, lm_keys + own_keys, f"trainer (algorithm {algorithm})")
+    lm = _build_dataclass(
+        tr.LmConfig, {k: v for k, v in mapping.items() if k in lm_keys}, "trainer"
+    )
+    if cls is tr.LmConfig:
+        return TrainerSpec(algorithm, lm)
+    own = {k: v for k, v in mapping.items() if k in own_keys}
+    return TrainerSpec(algorithm, _build_dataclass(cls, dict(own, lm=lm), "trainer"))
 
 
 def _build_evaluation(mapping):
@@ -144,10 +149,13 @@ def _build_evaluation(mapping):
             profile = ctl.ReferenceProfile(tuple(steps))
         except ValueError as exc:
             raise ConfigError(f"invalid evaluation.profile: {exc}") from exc
-    seeds = tuple(int(s) for s in mapping.get("seeds", range(10)))
-    if not seeds:
-        raise ConfigError("evaluation.seeds must be nonempty")
-    return EvaluationSpec(profile, seeds)
+    seeds = mapping.get("seeds", list(range(10)))
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"evaluation.seeds must be a nonempty list of seeds, got {seeds!r}")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"evaluation.seeds: {seed!r} is not a nonnegative integer")
+    return EvaluationSpec(profile, tuple(seeds))
 
 
 def load_config(path=None) -> WorkbenchConfig:
@@ -165,17 +173,12 @@ def load_config(path=None) -> WorkbenchConfig:
         ("plant", "experiment", "network", "trainer", "evaluation", "output_dir"),
         "config",
     )
-    net_raw = dict(raw.get("network", {}))
-    if "layer_sizes" in net_raw:
-        net_raw["layer_sizes"] = tuple(int(n) for n in net_raw["layer_sizes"])
-    if "activations" in net_raw:
-        net_raw["activations"] = tuple(net_raw["activations"])
     return WorkbenchConfig(
         plant=_build_dataclass(MotorParams, raw.get("plant", {}), "plant"),
         experiment=_build_dataclass(
             exp.StepExperimentConfig, raw.get("experiment", {}), "experiment"
         ),
-        network=_build_dataclass(NetworkSpec, net_raw, "network"),
+        network=_build_dataclass(NetworkSpec, raw.get("network", {}), "network"),
         trainer=_build_trainer(raw.get("trainer", {})),
         evaluation=_build_evaluation(raw.get("evaluation", {})),
         output_dir=str(raw.get("output_dir", "out")),
@@ -223,14 +226,6 @@ def cmd_collect(config, args) -> int:
     return EXIT_OK
 
 
-def _train_once(net, dataset, trainer: TrainerSpec):
-    if trainer.algorithm == "lm":
-        return tr.train_lm(net, dataset, trainer.config)
-    if trainer.algorithm == "br":
-        return tr.train_br(net, dataset, trainer.config)
-    return tr.train_early_stopping(net, dataset, trainer.config)
-
-
 def cmd_train(config, args) -> int:
     out = _ensure_outdir(config)
     iolog_path = Path(args.iolog) if args.iolog else out / "iolog.csv"
@@ -247,7 +242,8 @@ def cmd_train(config, args) -> int:
     )
     report_path = out / "train_report.csv"
     try:
-        trained, report = _train_once(net, dataset, config.trainer)
+        train = getattr(tr, _TRAINERS[config.trainer.algorithm][1])
+        trained, report = train(net, dataset, config.trainer.config)
     except tr.TrainingDivergedError as exc:
         exc.report.to_csv(report_path)
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -347,10 +343,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _seed_arg(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _make_parser():
     parser = _Parser(prog="servoneuro", description=__doc__)
     parser.add_argument("--config", help="path to YAML workbench configuration")
-    parser.add_argument("--seed", type=int, help="override experiment and init seeds")
+    parser.add_argument("--seed", type=_seed_arg, help="override experiment and init seeds")
     parser.add_argument("--out", help="override output directory")
     parser.add_argument("--svg", action="store_true", help="also write SVG charts")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mlp import MlpNetwork, forward
-from .plant import MotorParams, PlantState, step
+from .plant import MotorParams, make_state, step
 from .scaling import AffineScaling
 
 # Valid actuation band; controller outputs are clamped here before application.
@@ -126,7 +126,7 @@ def run_closed_loop(
     floor).  y(k) in the trace is the measured response to u(k).
     """
     r = profile.series()
-    state = PlantState(float(y0), np.random.default_rng(seed))
+    state = make_state(seed, y0)
     y_now = y_prev = float(y0)
     u1 = u2 = U_MIN
     ys = np.empty_like(r)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .plant import MotorParams, PlantState, step
+from .plant import MotorParams, make_state, step
 from .training import Dataset
 
 
@@ -28,6 +28,8 @@ class StepExperimentConfig:
             raise ValueError("dwell_samples must be positive")
         if self.amplitude_min >= self.amplitude_max:
             raise ValueError("amplitude_min must be below amplitude_max")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -55,7 +57,7 @@ def run_step_experiment(params: MotorParams, cfg: StepExperimentConfig) -> IoLog
     amplitudes = np.random.default_rng(amp_seed).uniform(
         cfg.amplitude_min, cfg.amplitude_max, cfg.num_steps
     )
-    state = PlantState(0.0, np.random.default_rng(noise_seed))
+    state = make_state(noise_seed)
     u = np.repeat(amplitudes, cfg.dwell_samples)
     y = np.empty_like(u)
     for k, uk in enumerate(u):

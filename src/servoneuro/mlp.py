@@ -178,14 +178,6 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray) -> 
     return -np.concatenate(blocks[::-1], axis=1)
 
 
-def flatten(net: MlpNetwork) -> np.ndarray:
-    return net.weights.copy()
-
-
-def unflatten(layer_sizes, activations, vector) -> MlpNetwork:
-    return MlpNetwork(tuple(layer_sizes), tuple(activations), np.asarray(vector, dtype=float))
-
-
 # --- serialization ---------------------------------------------------------
 
 _MAGIC = "servoneuro-net 1"

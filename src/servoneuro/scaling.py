@@ -9,7 +9,8 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class AffineScaling:
-    """Column-wise map scaled = (raw - offset) * gain, invertible (gain != 0)."""
+    """Column-wise map scaled = (raw - offset) * gain, invertible (gain finite
+    and nonzero)."""
 
     offset: np.ndarray
     gain: np.ndarray
@@ -19,8 +20,8 @@ class AffineScaling:
         gain = np.asarray(self.gain, dtype=float)
         if offset.shape != gain.shape or offset.ndim != 1:
             raise ValueError("offset and gain must be 1-D arrays of equal length")
-        if np.any(gain == 0.0):
-            raise ValueError("scaling gain must be nonzero")
+        if np.any(gain == 0.0) or not np.all(np.isfinite(gain)):
+            raise ValueError("scaling gain must be finite and nonzero")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "gain", gain)
 
@@ -42,13 +43,15 @@ class AffineScaling:
     def to_unit_range(cls, data: np.ndarray) -> "AffineScaling":
         """Scaling that maps each column of `data` onto [-1, 1].
 
-        Constant columns get gain 1 and are centered at their value.
+        Constant columns, and columns whose span is so small (subnormal) that
+        2/span overflows, get gain 1 and are centered at their value.
         """
         data = np.asarray(data, dtype=float)
         lo = data.min(axis=0)
         hi = data.max(axis=0)
-        span = hi - lo
-        gain = np.where(span > 0.0, 2.0 / np.where(span > 0.0, span, 1.0), 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            gain = 2.0 / (hi - lo)
+        gain = np.where(np.isfinite(gain), gain, 1.0)
         offset = (lo + hi) / 2.0
         return cls(offset, gain)
 

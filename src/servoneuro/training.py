@@ -130,6 +130,8 @@ class EarlyStopConfig:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be positive")
+        if self.split_seed < 0:
+            raise ValueError("split_seed must be nonnegative")
 
 
 class StopReason(Enum):
@@ -205,96 +207,100 @@ def _residual(net, X, D):
     return (D - forward_batch(net, X)).ravel()
 
 
-def _ed_of(net, X, D):
-    e = _residual(net, X, D)
-    return float(np.dot(e, e) / (2.0 * X.shape[0]))
+def _normal_equations(JtJ, Jte, w, scale, beta):
+    """Gauss-Newton Hessian H and exact gradient G of
+    alpha/(2*norm)*sum(e^2) + beta*sum(w^2), given scale = alpha/norm:
+    H = scale*J'J + 2*beta*I, G = scale*J'e + 2*beta*w."""
+    H = scale * JtJ + 2.0 * beta * np.eye(w.size)
+    G = scale * Jte + 2.0 * beta * w
+    return H, G
 
 
-def _solve_step(J, e, w, norm, lam, alpha, beta):
-    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step.
-
-    H = alpha/norm * J'J + 2*beta*I, G = alpha/norm * J'e + 2*beta*w, the
-    Gauss-Newton Hessian and exact gradient of alpha/(2*norm)*sum(e^2)
-    + beta*sum(w^2).  Returns (delta, H, G).
-    """
-    N = w.size
-    H = (alpha / norm) * (J.T @ J) + 2.0 * beta * np.eye(N)
-    G = (alpha / norm) * (J.T @ e) + 2.0 * beta * w
+def _solve_step(H, G, lam):
+    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step."""
     try:
-        delta = np.linalg.solve(H + lam * np.eye(N), -G)
+        delta = np.linalg.solve(H + lam * np.eye(G.size), -G)
     except np.linalg.LinAlgError as exc:
         raise StepFailedError(str(exc)) from exc
     if not np.all(np.isfinite(delta)):
         raise StepFailedError("non-finite step")
-    return delta, H, G
-
-
-def lm_step(net: MlpNetwork, data: Dataset, lam: float, alpha: float, beta: float):
-    """One damped Gauss-Newton proposal; does not commit the step.
-
-    Returns (candidate_weights, predicted_objective) where the prediction is
-    the quadratic model of alpha*E_D + beta*E_W at the candidate.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    X, D = data.scaled_inputs(), data.scaled_targets()
-    J = error_jacobian(net, X, D)
-    e = _residual(net, X, D)
-    w = net.weights
-    delta, H, G = _solve_step(J, e, w, data.n_patterns, lam, alpha, beta)
-    er0 = compute_er(alpha, beta, compute_ed(net, data), compute_ew(net))
-    predicted = er0 + float(G @ delta) + 0.5 * float(delta @ H @ delta)
-    return w + delta, predicted
+    return delta
 
 
 # --- trainers --------------------------------------------------------------
 
 
-def _lm_drive(net, X, D, cfg: LmConfig, epoch_hook=None):
-    """Shared accept/reject loop minimizing E_D.  The optional hook runs after
-    each accepted epoch with (epoch, weights, record) and may return True to
-    request an early stop."""
+def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
+                  reestimate=None, epoch_hook=None):
+    """Damped Gauss-Newton accept/reject loop shared by every trainer.
+
+    Minimizes F = alpha*sum(e^2)/(2*norm) + beta*w'w.  Each epoch forms J'J
+    and J'e once; each lambda trial solves the damped system and keeps the
+    candidate only if F drops, otherwise raises lambda and retries, giving up
+    with LAMBDA_OVERFLOW once lambda passes lambda_max.
+
+    `reestimate(epoch, H, lam, sse, ww, alpha, beta)` runs once per epoch,
+    before the first lambda trial, with the Hessian of the current objective,
+    and returns (alpha, beta, gamma) for that epoch.  A LinAlgError there is a
+    failed trial: lambda is raised and the re-estimate retried.
+    `epoch_hook(epoch, w, rec)` runs after each accepted epoch and may return
+    True to request an early stop.  Returns (weights, records, stop reason).
+    """
+
+    def objective(sse, ww):  # with alpha and beta as re-estimated so far
+        return alpha * (sse / (2.0 * norm)) + beta * ww
+
+    P = X.shape[0]
     w = net.weights.copy()
-    lam = cfg.lambda_init
+    lam = lm.lambda_init
     records = []
-    ed = _ed_of(net.with_weights(w), X, D)
-    if not np.isfinite(ed):
+    e = _residual(net, X, D)
+    sse, ww = float(np.dot(e, e)), float(np.dot(w, w))
+    if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError(
             "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS, w)
         )
 
     stop = StopReason.MAX_EPOCHS
-    for epoch in range(1, cfg.max_epochs + 1):
-        current = net.with_weights(w)
-        J = error_jacobian(current, X, D)
-        e = _residual(current, X, D)
-        accepted = False
+    gamma = None
+    for epoch in range(1, lm.max_epochs + 1):
+        J = error_jacobian(net.with_weights(w), X, D)
+        JtJ, Jte = J.T @ J, J.T @ e
+        system = None
         while True:
             try:
-                delta, _, _ = _solve_step(J, e, w, X.shape[0], lam, 1.0, 0.0)
-                ed_cand = _ed_of(net.with_weights(w + delta), X, D)
-                ok = np.isfinite(ed_cand) and ed_cand < ed
-            except StepFailedError:
+                if system is None:
+                    if reestimate is not None:
+                        H, _ = _normal_equations(JtJ, Jte, w, alpha / norm, beta)
+                        alpha, beta, gamma = reestimate(epoch, H, lam, sse, ww, alpha, beta)
+                    f = objective(sse, ww)
+                    system = _normal_equations(JtJ, Jte, w, alpha / norm, beta)
+                w_cand = w + _solve_step(*system, lam)
+                e_cand = _residual(net.with_weights(w_cand), X, D)
+                sse_cand = float(np.dot(e_cand, e_cand))
+                ww_cand = float(np.dot(w_cand, w_cand))
+                f_cand = objective(sse_cand, ww_cand)
+                ok = np.isfinite(f_cand) and f_cand < f
+            except (StepFailedError, np.linalg.LinAlgError):
                 ok = False
             if ok:
-                w = w + delta
-                ed = ed_cand
-                lam = max(lam * cfg.lambda_decrease, _TINY)
-                accepted = True
+                w, e, sse, ww, f = w_cand, e_cand, sse_cand, ww_cand, f_cand
+                lam = max(lam * lm.lambda_decrease, _TINY)
                 break
-            lam *= cfg.lambda_increase
-            if lam > cfg.lambda_max:
+            lam *= lm.lambda_increase
+            if lam > lm.lambda_max:
                 break
-        if not accepted:
+        if not ok:
             stop = StopReason.LAMBDA_OVERFLOW
             break
 
-        rec = EpochRecord(
-            epoch, ed, float(np.dot(w, w)), ed, lam
-        )
+        ed = sse / (2.0 * P)
+        rec = EpochRecord(epoch, ed, ww, f, lam)
+        if reestimate is not None:
+            rec.alpha, rec.beta, rec.gamma = alpha, beta, gamma
         hook_stop = bool(epoch_hook(epoch, w, rec)) if epoch_hook else False
         records.append(rec)
-        if ed <= cfg.goal_ed:
+        if ed <= lm.goal_ed:
             stop = StopReason.GOAL_REACHED
             break
         if hook_stop:
@@ -306,7 +312,7 @@ def _lm_drive(net, X, D, cfg: LmConfig, epoch_hook=None):
 def train_lm(net: MlpNetwork, data: Dataset, cfg: LmConfig):
     """Plain Levenberg-Marquardt on E_D."""
     X, D = data.scaled_inputs(), data.scaled_targets()
-    w, records, stop = _lm_drive(net, X, D, cfg)
+    w, records, stop = _gauss_newton(net, X, D, cfg, data.n_patterns)
     return net.with_weights(w), TrainReport(records, stop, w.copy())
 
 
@@ -326,7 +332,8 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
 
     def hook(epoch, w, rec):
         nonlocal best_val, best_w, prev_val, rises
-        val = _ed_of(net.with_weights(w), Xv, Dv)
+        e = _residual(net.with_weights(w), Xv, Dv)
+        val = float(np.dot(e, e) / (2.0 * Xv.shape[0]))
         rec.val_ed = val
         if val < best_val:
             best_val = val
@@ -335,7 +342,7 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
         prev_val = val
         return rises >= cfg.patience
 
-    _, records, stop = _lm_drive(net, X, D, cfg.lm, epoch_hook=hook)
+    _, records, stop = _gauss_newton(net, X, D, cfg.lm, train_set.n_patterns, epoch_hook=hook)
     return net.with_weights(best_w), TrainReport(records, stop, best_w.copy())
 
 
@@ -343,90 +350,28 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
     """LM on the regularized objective with automatic re-estimation of the
     data/weight trade-off from the effective number of parameters.
 
-    Internally the data term is the half sum of squares (not divided by P);
-    the report's E_D column stays in the (1/2P)-normalized convention while
-    E_R, alpha, beta refer to the half-sum objective actually minimized.
+    The data term minimized is the half sum of squares (not divided by P), so
+    the report's E_R, alpha and beta refer to alpha*sum(e^2)/2 + beta*E_W,
+    while its E_D column keeps the (1/2P)-normalized convention.
     """
-    lm = cfg.lm
     X, D = data.scaled_inputs(), data.scaled_targets()
-    P = data.n_patterns
-    n_targets = D.size  # P * M
     N = net.n_weights
 
-    w = net.weights.copy()
-    alpha = cfg.alpha_init
-    beta = cfg.beta_init
-    lam = lm.lambda_init
-
-    def ed_sum(wv):
-        e = _residual(net.with_weights(wv), X, D)
-        return 0.5 * float(np.dot(e, e))
-
-    f = alpha * ed_sum(w) + beta * float(np.dot(w, w))
-    records = []
-    if not np.isfinite(f):
-        raise TrainingDivergedError(
-            "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS, w)
-        )
-
-    stop = StopReason.MAX_EPOCHS
-    for epoch in range(1, lm.max_epochs + 1):
-        current = net.with_weights(w)
-        J = error_jacobian(current, X, D)
-        e = _residual(current, X, D)
-
+    def reestimate(epoch, H, lam, sse, ww, alpha, beta):
         # effective parameter count from the damped Hessian trace
-        H = alpha * (J.T @ J) + 2.0 * beta * np.eye(N)
         Hinv = np.linalg.inv(H + lam * np.eye(N))
         gamma = float(np.clip(N - 2.0 * beta * np.trace(Hinv), 0.0, N))
-
         if epoch > 1 and (epoch - 1) % cfg.reestimate_every == 0:
-            eds = ed_sum(w)
-            eww = float(np.dot(w, w))
-            beta = float(np.clip(gamma / (2.0 * max(eww, _TINY)), _HYPER_LO, _HYPER_HI))
+            eds = 0.5 * sse
+            beta = float(np.clip(gamma / (2.0 * max(ww, _TINY)), _HYPER_LO, _HYPER_HI))
             alpha = float(
-                np.clip((n_targets - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO, _HYPER_HI)
+                np.clip((D.size - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO, _HYPER_HI)
             )
-            f = alpha * eds + beta * eww
+        return alpha, beta, gamma
 
-        accepted = False
-        while True:
-            try:
-                delta, _, _ = _solve_step(J, e, w, 1.0, lam, alpha, beta)
-                w_cand = w + delta
-                f_cand = alpha * ed_sum(w_cand) + beta * float(np.dot(w_cand, w_cand))
-                ok = np.isfinite(f_cand) and f_cand < f
-            except StepFailedError:
-                ok = False
-            if ok:
-                w = w_cand
-                f = f_cand
-                lam = max(lam * lm.lambda_decrease, _TINY)
-                accepted = True
-                break
-            lam *= lm.lambda_increase
-            if lam > lm.lambda_max:
-                break
-        if not accepted:
-            stop = StopReason.LAMBDA_OVERFLOW
-            break
-
-        ed_norm = ed_sum(w) / P
-        records.append(
-            EpochRecord(
-                epoch,
-                ed_norm,
-                float(np.dot(w, w)),
-                f,
-                lam,
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-            )
-        )
-        if ed_norm <= lm.goal_ed:
-            stop = StopReason.GOAL_REACHED
-            break
+    w, records, stop = _gauss_newton(
+        net, X, D, cfg.lm, 1.0, cfg.alpha_init, cfg.beta_init, reestimate=reestimate
+    )
     return net.with_weights(w), TrainReport(records, stop, w.copy())
 
 

@@ -62,6 +62,29 @@ class TestConfigLoading:
         assert run(["--config", path, "collect"]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize(
+        "config_text,extra_args,field",
+        [
+            ("trainer: {max_epochs: 2.5}", [], "max_epochs"),
+            ("network: {init_seed: 1.5}", [], "init_seed"),
+            ("trainer: {algorithm: br, reestimate_every: 1.5}", [], "reestimate_every"),
+            ("trainer: {algorithm: br, max_epochs: true}", [], "max_epochs"),
+            ("evaluation: {seeds: 3}", [], "seeds"),
+            ("", ["--seed", "-1"], "--seed"),
+            ("experiment: {seed: -2}", [], "seed"),
+            ("network: {init_seed: -1}", [], "init_seed"),
+            ("trainer: {algorithm: early_stop, split_seed: -1}", [], "split_seed"),
+            ("evaluation: {seeds: [0, -1]}", [], "seeds"),
+        ],
+    )
+    def test_invalid_value_names_the_field(self, tmp_path, capsys, config_text, extra_args, field):
+        path = write_config(tmp_path, config_text)
+        argv = ["--config", path, "--out", str(tmp_path / "out")] + extra_args + ["collect"]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
 class TestCollect:
     def test_writes_iolog(self, fast_config):
         path, out = fast_config

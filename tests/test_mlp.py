@@ -154,19 +154,20 @@ class TestErrorJacobian:
 class TestFlattenUnflatten:
     def test_round_trip(self):
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=6, scale=0.5)
-        again = mlp.unflatten(net.layer_sizes, net.activations, mlp.flatten(net))
+        again = MlpNetwork(net.layer_sizes, net.activations, net.weights.copy())
         assert again == net
 
     def test_wrong_length_raises(self):
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=6, scale=0.5)
         with pytest.raises(ArchitectureError):
-            mlp.unflatten(net.layer_sizes, net.activations, net.weights[:-1])
+            net.with_weights(net.weights[:-1])
 
     def test_perturbing_one_index_changes_one_connection(self):
         # bumping the weight x0 -> hidden0 only matters when x0 is nonzero
         net = mlp.init_weights([2, 3, 1], ["tanh", "linear"], seed=0, scale=0.5)
-        w = mlp.flatten(net)
+        w = net.weights.copy()
         w[0] += 0.1
+        assert net.weights[0] != w[0]  # editing the copy leaves the network alone
         bumped = net.with_weights(w)
         x_active = np.array([1.0, 0.0])
         x_inactive = np.array([0.0, 1.0])

@@ -16,7 +16,6 @@ from servoneuro.training import (
     compute_ed,
     compute_er,
     compute_ew,
-    lm_step,
     split_dataset,
     train_br,
     train_early_stopping,
@@ -75,61 +74,63 @@ class TestErrorFunctionals:
 
 
 class TestLmStep:
+    @staticmethod
+    def lm_system(net, ds, lam):
+        """The damped system train_lm solves in its first epoch."""
+        X, D = ds.scaled_inputs(), ds.scaled_targets()
+        J = mlp.error_jacobian(net, X, D)
+        e = (D - mlp.forward_batch(net, X)).ravel()
+        H, G = tr._normal_equations(J.T @ J, J.T @ e, net.weights, 1.0 / ds.n_patterns, 0.0)
+        return H, G, tr._solve_step(H, G, lam)
+
     def test_one_weight_hand_algebra(self):
         # x=1, d=1, w=0: J=[-1], H=1, G=-1, so the undamped step lands at w=1
-        delta, H, G = tr._solve_step(
-            np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), 1, 0.0, 1.0, 0.0
-        )
+        J, e = np.array([[-1.0]]), np.array([1.0])
+        H, G = tr._normal_equations(J.T @ J, J.T @ e, np.array([0.0]), 1.0, 0.0)
         assert H[0, 0] == 1.0
         assert G[0] == -1.0
-        assert delta[0] == 1.0
+        assert tr._solve_step(H, G, 0.0)[0] == 1.0
 
     def test_newton_solves_linear_problem_in_one_step(self):
         net = MlpNetwork((1, 1), (ActivationKind.LINEAR,), np.array([0.0, 0.0]))
         ds = identity_dataset([[1.0], [2.0]], [[1.0], [2.0]])
-        w_new, predicted = lm_step(net, ds, lam=0.0, alpha=1.0, beta=0.0)
-        # the model is linear in (w, b), so Gauss-Newton is exact in one step
-        assert predicted == pytest.approx(0.0, abs=1e-12)
-        assert mlp.forward(net.with_weights(w_new), [1.0]) == pytest.approx(1.0)
-        assert mlp.forward(net.with_weights(w_new), [2.0]) == pytest.approx(2.0)
+        # the model is linear in (w, b), so one barely damped epoch is exact
+        trained, report = train_lm(net, ds, LmConfig(lambda_init=1e-12, max_epochs=1))
+        assert report.records[0].ed == pytest.approx(0.0, abs=1e-12)
+        assert mlp.forward(trained, [1.0]) == pytest.approx(1.0)
+        assert mlp.forward(trained, [2.0]) == pytest.approx(2.0)
 
     def test_singular_system_signals_step_failure(self):
         # one pattern, two parameters, no damping: rank-deficient normal matrix
         net = MlpNetwork((1, 1), (ActivationKind.LINEAR,), np.array([0.0, 0.0]))
         ds = identity_dataset([[1.0]], [[1.0]])
         with pytest.raises(tr.StepFailedError):
-            lm_step(net, ds, lam=0.0, alpha=1.0, beta=0.0)
+            self.lm_system(net, ds, lam=0.0)
 
     def test_step_norm_shrinks_with_lambda(self):
         net = mlp.init_weights([2, 4, 1], ["tanh", "linear"], seed=0, scale=0.5)
         rng = np.random.default_rng(1)
         ds = identity_dataset(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)))
-        norms = []
-        for lam in (1e-3, 1.0, 1e3, 1e6):
-            w_new, _ = lm_step(net, ds, lam=lam, alpha=1.0, beta=0.0)
-            norms.append(np.linalg.norm(w_new - net.weights))
+        norms = [np.linalg.norm(self.lm_system(net, ds, lam)[2]) for lam in (1e-3, 1.0, 1e3, 1e6)]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_beta_zero_matches_plain_lm_on_ed(self):
         net = mlp.init_weights([2, 4, 1], ["tanh", "linear"], seed=3, scale=0.5)
         rng = np.random.default_rng(4)
         ds = identity_dataset(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)))
-        w_a, _ = lm_step(net, ds, lam=0.1, alpha=1.0, beta=0.0)
-        # alpha scales the whole system at beta=0, step is alpha-invariant
-        w_b, _ = lm_step(net, ds, lam=0.0, alpha=1.0, beta=0.0)
-        assert not np.array_equal(w_a, w_b)  # damping matters
-        ed0 = compute_ed(net, ds)
-        assert compute_ed(net.with_weights(w_a), ds) < ed0
+        delta_damped = self.lm_system(net, ds, lam=0.1)[2]
+        assert not np.array_equal(delta_damped, self.lm_system(net, ds, lam=0.0)[2])
+        # one accepted train_lm epoch takes exactly the damped step on E_D
+        trained, report = train_lm(net, ds, LmConfig(lambda_init=0.1, max_epochs=1))
+        assert np.array_equal(trained.weights, net.weights + delta_damped)
+        assert compute_ed(trained, ds) < compute_ed(net, ds)
 
     def test_gradient_consistency_with_finite_differences(self):
         # G at beta=0 must be the finite-difference gradient of E_D
         net = mlp.init_weights([3, 5, 1], ["tanh", "linear"], seed=5, scale=0.5)
         rng = np.random.default_rng(6)
         ds = identity_dataset(rng.normal(size=(12, 3)), rng.normal(size=(12, 1)))
-        X, D = ds.scaled_inputs(), ds.scaled_targets()
-        J = mlp.error_jacobian(net, X, D)
-        e = (D - mlp.forward_batch(net, X)).ravel()
-        G = (J.T @ e) / ds.n_patterns
+        _, G, _ = self.lm_system(net, ds, lam=1.0)
         h = 1e-6
         for i in range(0, net.n_weights, 7):
             wp, wm = net.weights.copy(), net.weights.copy()
@@ -211,6 +212,44 @@ class TestTrainBr:
         _, a = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
         _, b = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
         assert np.array_equal(a.final_weights, b.final_weights)
+
+    def test_gamma_inverse_failure_is_a_failed_lambda_trial(self, monkeypatch):
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        lm = LmConfig(max_epochs=5)
+        raised = LmConfig(max_epochs=5, lambda_init=lm.lambda_init * lm.lambda_increase)
+        _, expected = train_br(net, ds, BrConfig(lm=raised))
+        real_inv = np.linalg.inv
+        calls = []
+
+        def inv_failing_once(a):
+            calls.append(a)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inv_failing_once)
+        _, report = train_br(net, ds, BrConfig(lm=lm))
+        # the failed trial raised lambda once, then the run went on as if started there
+        assert np.array_equal(report.final_weights, expected.final_weights)
+        assert [(r.lam, r.gamma) for r in report.records] == [
+            (r.lam, r.gamma) for r in expected.records
+        ]
+
+    def test_gamma_inverse_always_failing_overflows_lambda(self, monkeypatch):
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        calls = []
+
+        def broken_inv(a):
+            calls.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", broken_inv)
+        _, report = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=5)))
+        assert report.stop_reason is StopReason.LAMBDA_OVERFLOW
+        assert report.records == []
+        assert len(calls) > 1  # retried at growing lambda before giving up
 
     def test_tiny_linear_evidence_fixed_point(self):
         # Single linear weight, no bias possible with this net shape, so use
