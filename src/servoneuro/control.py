@@ -5,6 +5,7 @@ control effort)."""
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -93,11 +94,14 @@ class NeuralController:
             raise ValueError("inverse controller network must have 5 inputs")
         if self.net.output_width != 1:
             raise ValueError("inverse controller network must have 1 output")
+        # target_scaling.invert on one value, as Python floats (same IEEE bits)
+        object.__setattr__(self, "_out_gain", float(self.target_scaling.gain[0]))
+        object.__setattr__(self, "_out_offset", float(self.target_scaling.offset[0]))
 
     def __call__(self, regressor: np.ndarray) -> float:
         scaled = self.input_scaling.apply(regressor)
         out = forward(self.net, scaled)
-        return float(self.target_scaling.invert(np.array([out]))[0])
+        return out / self._out_gain + self._out_offset
 
 
 def analytic_inverse_controller(params: MotorParams) -> Callable:
@@ -129,19 +133,19 @@ def run_closed_loop(
     state = make_state(seed, y0)
     y_now = y_prev = float(y0)
     u1 = u2 = U_MIN
-    ys = np.empty_like(r)
-    us = np.empty_like(r)
-    for k in range(r.size):
-        u = float(controller(np.array([r[k], y_now, y_prev, u1, u2])))
-        if not np.isfinite(u):
-            partial = ClosedLoopTrace(r[:k], ys[:k], us[:k], params.ts)
+    ys = []
+    us = []
+    for k, r_k in enumerate(r.tolist()):
+        u = float(controller(np.array([r_k, y_now, y_prev, u1, u2])))
+        if not math.isfinite(u):
+            partial = ClosedLoopTrace(r[:k], ys, us, params.ts)
             raise ControllerDivergedError(
                 f"controller output not finite at sample {k}", partial
             )
         u = min(max(u, U_MIN), U_MAX)
         state, measured = step(state, params, u)
-        ys[k] = measured
-        us[k] = u
+        ys.append(measured)
+        us.append(u)
         y_prev, y_now = y_now, measured
         u2, u1 = u1, u
     return ClosedLoopTrace(r, ys, us, params.ts)

@@ -59,6 +59,12 @@ class MlpNetwork:
         object.__setattr__(self, "layer_sizes", layer_sizes)
         object.__setattr__(self, "activations", activations)
         object.__setattr__(self, "weights", weights)
+        # (W.T, b, is_tanh) per layer, views into `weights` built once for
+        # the forward passes
+        object.__setattr__(self, "_views", tuple(
+            (W.T, b, kind is ActivationKind.TANH)
+            for (W, b), kind in zip(self.layers(), activations)
+        ))
 
     @property
     def n_weights(self) -> int:
@@ -109,23 +115,30 @@ def _activate(z, kind):
     return np.tanh(z) if kind is ActivationKind.TANH else z
 
 
-def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (P, n_in) matrix; returns (P, n_out)."""
-    a = np.asarray(inputs, dtype=float)
-    if a.ndim != 2 or a.shape[1] != net.input_width:
+def _propagate(net: MlpNetwork, a: np.ndarray, ndim: int) -> np.ndarray:
+    """Run `a` (one pattern, or one per row) through every layer."""
+    if a.ndim != ndim or a.shape[-1] != net.input_width:
         raise ArchitectureError(
-            f"input width {a.shape[-1]} does not match network input "
-            f"width {net.input_width}"
+            f"input of shape {a.shape} does not match network input width "
+            f"{net.input_width}"
         )
-    for (W, b), kind in zip(net.layers(), net.activations):
-        a = _activate(a @ W.T + b, kind)
+    for WT, b, is_tanh in net._views:
+        a = a @ WT + b
+        if is_tanh:
+            a = np.tanh(a)
     return a
 
 
+def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
+    """Evaluate the network on a (P, n_in) matrix; returns (P, n_out)."""
+    return _propagate(net, np.asarray(inputs, dtype=float), 2)
+
+
 def forward(net: MlpNetwork, x) -> float:
-    """Single-pattern evaluation; returns a scalar for a one-output network."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = forward_batch(net, x)[0]
+    """Single-pattern evaluation of a length-n_in vector; returns a scalar for
+    a one-output network.  Rounds exactly like the pattern's row in
+    `forward_batch`."""
+    out = _propagate(net, np.asarray(x, dtype=float), 1)
     return float(out[0]) if net.output_width == 1 else out
 
 

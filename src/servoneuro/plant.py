@@ -3,6 +3,8 @@ dead-zone/saturation map, with Gaussian tachometer noise on the measurement."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,9 @@ class MotorParams:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
-    @property
+    @functools.cached_property
     def decay(self) -> float:
-        """Per-sample pole a = exp(-ts/tau)."""
+        """Per-sample pole a = exp(-ts/tau), computed once."""
         return float(np.exp(-self.ts / self.tau))
 
 
@@ -61,7 +63,7 @@ def steady_state(params: MotorParams, u: float) -> float:
 
 def step(state: PlantState, params: MotorParams, u: float):
     """Advance one sample; returns (new_state, measured_y)."""
-    if not np.isfinite(u):
+    if not math.isfinite(u):
         raise ValueError("plant input must be finite")
     a = params.decay
     y_next = a * state.y + (1.0 - a) * params.gain * static_map(params, u)

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servoneuro import mlp
+from servoneuro.control import NeuralController
 from servoneuro.plant import MotorParams, static_map
 from servoneuro.scaling import AffineScaling
 
@@ -53,3 +54,49 @@ def test_forward_is_pure(seed):
     x = np.random.default_rng(seed).normal(size=5)
     assert mlp.forward(net, x) == mlp.forward(net, x)
     assert np.isfinite(mlp.forward(net, x))
+
+
+activations = st.sampled_from(["tanh", "linear"])
+
+
+@st.composite
+def networks(draw, input_width=None, output_width=None):
+    """Random nets with 1-3 hidden layers, per-layer tanh/linear activations."""
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    n_in = input_width or draw(st.integers(1, 8))
+    n_out = output_width or draw(st.integers(1, 3))
+    sizes = [n_in, *hidden, n_out]
+    acts = draw(st.lists(activations, min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    scale = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    return mlp.init_weights(sizes, acts, seed=draw(st.integers(0, 2**31 - 1)), scale=scale)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@given(net=networks(), seed=st.integers(0, 2**31 - 1), log_scale=st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_forward_matches_forward_batch_bit_for_bit(net, seed, log_scale):
+    x = np.random.default_rng(seed).normal(size=net.input_width) * 10.0**log_scale
+    single = mlp.forward(net, x)
+    row = mlp.forward_batch(net, x[None])[0]
+    assert _bits(single) == _bits(row[0] if net.output_width == 1 else row)
+
+
+@given(
+    net=networks(input_width=5, output_width=1),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.integers(-2, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_controller_matches_array_scaling_bit_for_bit(net, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    input_scaling = AffineScaling(rng.normal(size=5), rng.uniform(0.1, 3.0, 5))
+    sign = rng.choice([-1.0, 1.0])
+    target_scaling = AffineScaling(rng.normal(size=1) * 5, sign * rng.uniform(0.1, 3.0, 1))
+    regressor = rng.normal(size=5) * 10.0**log_scale
+    out = mlp.forward(net, input_scaling.apply(regressor))
+    expected = target_scaling.invert(np.array([out]))[0]
+    got = NeuralController(net, input_scaling, target_scaling)(regressor)
+    assert _bits(got) == _bits(expected)
