@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,16 +33,42 @@ class ConfigError(ValueError):
     pass
 
 
+# Inverse-controller regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] -> u(k)
+_REGRESSOR_WIDTH = 5
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    layer_sizes: tuple = (5, 10, 1)
+    layer_sizes: tuple = (_REGRESSOR_WIDTH, 10, 1)
     activations: tuple = ("tanh", "linear")
     init_seed: int = 0
     init_scale: float = 0.5
 
     def __post_init__(self):
+        sizes = self.layer_sizes
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes):
+            raise ValueError(f"layer_sizes must be positive integers, got {sizes}")
+        if len(sizes) < 2 or sizes[0] != _REGRESSOR_WIDTH or sizes[-1] != 1:
+            raise ValueError(
+                f"layer_sizes must have {_REGRESSOR_WIDTH} inputs (the regressor width) "
+                f"and 1 output, got {sizes}"
+            )
+        if len(self.activations) != len(sizes) - 1:
+            raise ValueError(
+                f"activations needs {len(sizes) - 1} entries (one per non-input layer), "
+                f"got {len(self.activations)}"
+            )
+        for act in self.activations:
+            try:
+                mlp.ActivationKind(act)
+            except ValueError:
+                raise ValueError(
+                    f"activations: unknown activation {act!r} (use tanh, linear)"
+                ) from None
         if self.init_seed < 0:
             raise ValueError("init_seed must be nonnegative")
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ValueError(f"init_scale must be finite and nonnegative, got {self.init_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +110,7 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "tuple": (list, tuple)}
 
 
 def _check_keys(mapping, allowed, section):
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(str(key) for key in set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
@@ -134,6 +161,8 @@ def _build_evaluation(mapping):
     _check_keys(mapping, ("profile", "seeds"), "evaluation")
     profile = ctl.DEFAULT_PROFILE
     if "profile" in mapping:
+        if not isinstance(mapping["profile"], list):
+            raise ConfigError("evaluation.profile must be a list of {level, duration} mappings")
         steps = []
         for i, entry in enumerate(mapping["profile"]):
             if not isinstance(entry, dict):
@@ -141,7 +170,7 @@ def _build_evaluation(mapping):
             _check_keys(entry, ("level", "duration"), f"evaluation.profile[{i}]")
             try:
                 steps.append((float(entry["level"]), int(entry["duration"])))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(
                     f"evaluation.profile[{i}] needs numeric 'level' and 'duration'"
                 ) from exc
@@ -165,7 +194,12 @@ def load_config(path=None) -> WorkbenchConfig:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        raw = yaml.safe_load(text) or {}
+        except ValueError as exc:  # not UTF-8
+            raise ConfigError(f"cannot decode config file: {exc}") from exc
+        try:
+            raw = yaml.safe_load(text) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping at top level")
     _check_keys(
@@ -173,15 +207,23 @@ def load_config(path=None) -> WorkbenchConfig:
         ("plant", "experiment", "network", "trainer", "evaluation", "output_dir"),
         "config",
     )
+    sections = {}
+    for name in ("plant", "experiment", "network", "trainer", "evaluation"):
+        sections[name] = raw.get(name, {})
+        if not isinstance(sections[name], dict):
+            raise ConfigError(f"section '{name}' must be a mapping, got {sections[name]!r}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
     return WorkbenchConfig(
-        plant=_build_dataclass(MotorParams, raw.get("plant", {}), "plant"),
+        plant=_build_dataclass(MotorParams, sections["plant"], "plant"),
         experiment=_build_dataclass(
-            exp.StepExperimentConfig, raw.get("experiment", {}), "experiment"
+            exp.StepExperimentConfig, sections["experiment"], "experiment"
         ),
-        network=_build_dataclass(NetworkSpec, raw.get("network", {}), "network"),
-        trainer=_build_trainer(raw.get("trainer", {})),
-        evaluation=_build_evaluation(raw.get("evaluation", {})),
-        output_dir=str(raw.get("output_dir", "out")),
+        network=_build_dataclass(NetworkSpec, sections["network"], "network"),
+        trainer=_build_trainer(sections["trainer"]),
+        evaluation=_build_evaluation(sections["evaluation"]),
+        output_dir=output_dir,
     )
 
 
@@ -231,9 +273,11 @@ def cmd_train(config, args) -> int:
     iolog_path = Path(args.iolog) if args.iolog else out / "iolog.csv"
     try:
         log = exp.load_iolog(iolog_path, config.plant.ts)
+        dataset = exp.build_inverse_dataset(log)
     except OSError as exc:
         raise ConfigError(f"cannot read I/O log: {exc}") from exc
-    dataset = exp.build_inverse_dataset(log)
+    except ValueError as exc:
+        raise ConfigError(f"invalid I/O log: {exc}") from exc
     net = mlp.init_weights(
         config.network.layer_sizes,
         config.network.activations,

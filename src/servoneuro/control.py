@@ -33,6 +33,8 @@ class ReferenceProfile:
             raise ValueError("reference profile must be nonempty")
         if any(dur < 1 for _, dur in steps):
             raise ValueError("step durations must be positive")
+        if not all(math.isfinite(level) for level, _ in steps):
+            raise ValueError("step levels must be finite")
         object.__setattr__(self, "steps", steps)
 
     def series(self) -> np.ndarray:

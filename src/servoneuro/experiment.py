@@ -4,6 +4,7 @@ training set from the logged input/output series."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,6 +12,10 @@ import numpy as np
 
 from .plant import MotorParams, make_state, step
 from .training import Dataset
+
+# The shortest log that forms one lagged training pattern (see
+# build_inverse_dataset).
+MIN_LOG_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,13 @@ class StepExperimentConfig:
             raise ValueError("num_steps must be positive")
         if self.dwell_samples < 1:
             raise ValueError("dwell_samples must be positive")
+        if self.num_steps * self.dwell_samples < MIN_LOG_SAMPLES:
+            raise ValueError(
+                f"num_steps * dwell_samples must be at least {MIN_LOG_SAMPLES} samples"
+            )
+        for name in ("amplitude_min", "amplitude_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude_min >= self.amplitude_max:
             raise ValueError("amplitude_min must be below amplitude_max")
         if self.seed < 0:
@@ -43,8 +55,10 @@ class IoLog:
         self.y = np.asarray(self.y, dtype=float)
         if self.u.shape != self.y.shape or self.u.ndim != 1:
             raise ValueError("u and y must be 1-D series of equal length")
-        if self.u.size < 3:
-            raise ValueError("log too short (need at least 3 samples)")
+        if self.u.size < MIN_LOG_SAMPLES:
+            raise ValueError(
+                f"log too short ({self.u.size} samples, need at least {MIN_LOG_SAMPLES})"
+            )
 
     def __len__(self):
         return self.u.size
@@ -73,8 +87,6 @@ def build_inverse_dataset(log: IoLog) -> Dataset:
     output.  Early samples without full lag history are dropped.
     """
     L = len(log)
-    if L < 4:
-        raise ValueError("log too short to form lagged patterns (need >= 4 samples)")
     u, y = log.u, log.y
     k = np.arange(2, L - 1)
     inputs = np.column_stack([y[k + 1], y[k], y[k - 1], u[k - 1], u[k - 2]])
@@ -91,12 +103,31 @@ def save_iolog(log: IoLog, path):
 
 
 def load_iolog(path, ts: float) -> IoLog:
+    """Read a log written by `save_iolog`.  Every u and y must be a finite
+    number and the log must be long enough to train on; a ValueError names the
+    file and, for a bad value, its line."""
     u, y = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"k", "u", "y"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected CSV header with columns k,u,y")
-        for row in reader:
-            u.append(float(row["u"]))
-            y.append(float(row["y"]))
-    return IoLog(np.array(u), np.array(y), ts)
+        try:
+            if reader.fieldnames is None or not {"k", "u", "y"} <= set(reader.fieldnames):
+                raise ValueError(f"{path}: expected CSV header with columns k,u,y")
+            for row in reader:
+                try:
+                    uk, yk = float(row["u"]), float(row["y"])
+                    finite = math.isfinite(uk) and math.isfinite(yk)
+                except (TypeError, ValueError):
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: u and y must be finite "
+                        f"numbers, got u={row['u']!r}, y={row['y']!r}"
+                    )
+                u.append(uk)
+                y.append(yk)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    try:
+        return IoLog(np.array(u), np.array(y), ts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -241,10 +241,14 @@ def load_network(path):
 
     layer_sizes = tuple(int(n) for n in fields["layers"])
     activations = tuple(ActivationKind(a) for a in fields["activations"])
+    if len(fields["weights"]) != 1:
+        raise ValueError(f"{path}: header field 'weights' must hold one count")
     count = int(fields["weights"][0])
     values = [float(v) for v in lines[8 : 8 + count]]
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} weights, found {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: weights must be finite")
     net = MlpNetwork(layer_sizes, activations, np.array(values))
     input_scaling = AffineScaling(
         np.array([float(v) for v in fields["input_offset"]]),

@@ -3,6 +3,7 @@ dead-zone/saturation map, with Gaussian tachometer noise on the measurement."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -20,6 +21,12 @@ class MotorParams:
     noise_sigma: float = 0.02  # tach noise std, volts
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if self.gain <= 0:
+            raise ValueError("gain must be positive")
         if self.tau <= 0 or self.ts <= 0:
             raise ValueError("tau and ts must be positive")
         if self.ts >= self.tau:

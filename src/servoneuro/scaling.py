@@ -9,8 +9,8 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class AffineScaling:
-    """Column-wise map scaled = (raw - offset) * gain, invertible (gain finite
-    and nonzero)."""
+    """Column-wise map scaled = (raw - offset) * gain, invertible (offset
+    finite, gain finite and nonzero)."""
 
     offset: np.ndarray
     gain: np.ndarray
@@ -22,6 +22,8 @@ class AffineScaling:
             raise ValueError("offset and gain must be 1-D arrays of equal length")
         if np.any(gain == 0.0) or not np.all(np.isfinite(gain)):
             raise ValueError("scaling gain must be finite and nonzero")
+        if not np.all(np.isfinite(offset)):
+            raise ValueError("scaling offset must be finite")
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "gain", gain)
 

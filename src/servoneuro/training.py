@@ -5,6 +5,8 @@ automatically (Bayesian scheme) or controlled by early stopping."""
 from __future__ import annotations
 
 import csv
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -90,6 +92,10 @@ class LmConfig:
     goal_ed: float = 0.0
 
     def __post_init__(self):
+        # a NaN or infinite lambda never passes lambda_max, so the run would not end
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.lambda_init <= 0 or self.lambda_max <= 0:
             raise ValueError("lambda_init and lambda_max must be positive")
         if self.lambda_init > self.lambda_max:
@@ -112,6 +118,9 @@ class BrConfig:
     reestimate_every: int = 1
 
     def __post_init__(self):
+        for name in ("alpha_init", "beta_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha_init <= 0 or self.beta_init <= 0:
             raise ValueError("alpha_init and beta_init must be positive")
         if self.reestimate_every < 1:

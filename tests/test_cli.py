@@ -1,9 +1,18 @@
+import contextlib
+import dataclasses
+import io
+import math
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from servoneuro.cli import EXIT_CONFIG, EXIT_OK, load_config, main
+from servoneuro.cli import EXIT_CONFIG, EXIT_OK, NetworkSpec, load_config, main
+from servoneuro.experiment import StepExperimentConfig
+from servoneuro.plant import MotorParams
+from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
 
 
 def run(args):
@@ -75,6 +84,18 @@ class TestConfigLoading:
             ("network: {init_seed: -1}", [], "init_seed"),
             ("trainer: {algorithm: early_stop, split_seed: -1}", [], "split_seed"),
             ("evaluation: {seeds: [0, -1]}", [], "seeds"),
+            ("trainer:", [], "trainer"),
+            ("plant: 5", [], "plant"),
+            ("plant: [1", [], "YAML"),
+            ("network: {layer_sizes: [3, 10, 1]}", [], "layer_sizes"),
+            ("network: {layer_sizes: [5, 10, 2]}", [], "layer_sizes"),
+            ("network: {activations: [tanh]}", [], "activations"),
+            ("plant: {noise_sigma: .nan}", [], "noise_sigma"),
+            ("plant: {tau: .inf}", [], "tau"),
+            ("plant: {gain: 0}", [], "gain"),
+            ("experiment: {amplitude_max: .inf}", [], "amplitude_max"),
+            ("experiment: {num_steps: 1, dwell_samples: 3}", [], "dwell_samples"),
+            ("trainer: {lambda_init: .nan}", [], "lambda_init"),
         ],
     )
     def test_invalid_value_names_the_field(self, tmp_path, capsys, config_text, extra_args, field):
@@ -175,6 +196,29 @@ class TestTrainControlCompare:
         assert "bad.net" in capsys.readouterr().err
 
 
+class TestIoLogBoundary:
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,nan", "3,3.0,0.3", "4,3.0,0.4"], "line 4"),
+            (["0,3.0,0.0", "1,inf,0.1", "2,3.0,0.2", "3,3.0,0.3", "4,3.0,0.4"], "line 3"),
+            (["0,3.0,0.0", "1,volts,0.1", "2,3.0,0.2", "3,3.0,0.3"], "line 3"),
+            (["0,3.0,0.0", "1,3.0"], "line 3"),
+            (["0,3.0,0.0", "1,3.0,0.1"], "too short"),
+            (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2"], "too short"),
+        ],
+        ids=["nan", "inf", "text", "missing-field", "two-rows", "three-rows"],
+    )
+    def test_bad_iolog_exits_1_naming_file_and_row(self, tmp_path, capsys, rows, where):
+        iolog = tmp_path / "bad_iolog.csv"
+        iolog.write_text("\n".join(["k,u,y", *rows]) + "\n")
+        argv = ["--out", str(tmp_path / "out"), "train", "--iolog", str(iolog)]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad_iolog.csv" in err and where in err
+        assert "Traceback" not in err
+
+
 class TestSvgEmission:
     def test_control_svg_files(self, fast_config):
         path, out = fast_config
@@ -191,3 +235,81 @@ class TestSeedOverride:
         first = (out / "iolog.csv").read_bytes()
         run(["--config", path, "--seed", "99", "collect"])
         assert (out / "iolog.csv").read_bytes() != first
+
+
+# --- exit-code contract under random configs ------------------------------
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+_SECTION_KEYS = {
+    "plant": _names(MotorParams),
+    "experiment": _names(StepExperimentConfig),
+    "network": _names(NetworkSpec),
+    "trainer": ["algorithm", *_names(LmConfig), *_names(BrConfig), *_names(EarlyStopConfig)],
+    "evaluation": ["profile", "seeds"],
+}
+
+_numbers = st.one_of(st.integers(-3, 60), st.floats(-10, 10))
+_scalars = st.one_of(
+    _numbers,
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, True, False, None, "", "x", "lm", "br",
+         "early_stop", "tanh", 1e308]
+    ),
+)
+_values = st.one_of(
+    _numbers,
+    st.one_of(
+        _scalars,
+        st.lists(_scalars, max_size=4),
+        st.lists(st.dictionaries(st.sampled_from(["level", "duration", "x"]), _scalars),
+                 max_size=3),
+    ),
+)
+
+
+def _section(name):
+    keys = st.one_of(st.sampled_from([*_SECTION_KEYS[name], "junk"]), st.integers(0, 3))
+    not_a_mapping = st.one_of(
+        st.none(), st.integers(-2, 5), st.lists(st.integers(), max_size=2), st.text(max_size=4)
+    )
+    return st.one_of(st.dictionaries(keys, _values, max_size=3), not_a_mapping)
+
+
+_configs = st.fixed_dictionaries(
+    {},
+    optional={**{name: _section(name) for name in _SECTION_KEYS},
+              "output_dir": _values, "junk": _values},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(config=_configs)
+@settings(max_examples=60, deadline=None)
+@example(config="plant: [1")
+@example(config={"trainer": None})
+@example(config={"plant": 5})
+@example(config={"network": {"layer_sizes": [3, 10, 1]}})
+@example(config={"network": {"layer_sizes": [5, 10, 2]}})
+@example(config={"network": {"activations": ["tanh"]}})
+@example(config={"plant": {"noise_sigma": math.nan}})
+@example(config={"plant": {"gain": 0}})
+@example(config={"experiment": {"amplitude_min": math.inf}})
+@example(config={"experiment": {"num_steps": 1, "dwell_samples": 2}})
+def test_collect_exit_code_contract(fuzz_dir, config):
+    """Any config mapping (or YAML text) ends in a documented exit code, and
+    no traceback reaches stderr."""
+    path = fuzz_dir / "config.yaml"
+    path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(fuzz_dir / "out"), "collect"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
