@@ -136,8 +136,8 @@ def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
 
 def forward(net: MlpNetwork, x) -> float:
     """Single-pattern evaluation of a length-n_in vector; returns a scalar for
-    a one-output network.  Rounds exactly like the pattern's row in
-    `forward_batch`."""
+    a one-output network.  tests/test_properties.py checks that it rounds
+    exactly like the pattern's row in `forward_batch`."""
     out = _propagate(net, np.asarray(x, dtype=float), 1)
     return float(out[0]) if net.output_width == 1 else out
 
