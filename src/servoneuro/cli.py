@@ -248,6 +248,8 @@ def _ensure_outdir(config) -> Path:
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory '{out}' is not writable: {exc}") from exc
+    except ValueError as exc:  # e.g. an embedded NUL byte
+        raise ConfigError(f"invalid output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -438,7 +440,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (tr.TrainingDivergedError, ctl.ControllerDivergedError) as exc:
+    except (exp.ExperimentDivergedError, tr.TrainingDivergedError,
+            ctl.ControllerDivergedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

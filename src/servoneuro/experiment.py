@@ -64,9 +64,14 @@ class IoLog:
         return self.u.size
 
 
+class ExperimentDivergedError(RuntimeError):
+    """The plant output left the finite range during the step experiment."""
+
+
 def run_step_experiment(params: MotorParams, cfg: StepExperimentConfig) -> IoLog:
     """Drive the plant with random-amplitude steps, each held for
-    dwell_samples, and log the measured response."""
+    dwell_samples, and log the measured response.  Raises
+    ExperimentDivergedError, naming the first sample, if the output overflows."""
     amp_seed, noise_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     amplitudes = np.random.default_rng(amp_seed).uniform(
         cfg.amplitude_min, cfg.amplitude_max, cfg.num_steps
@@ -74,8 +79,17 @@ def run_step_experiment(params: MotorParams, cfg: StepExperimentConfig) -> IoLog
     state = make_state(noise_seed)
     u = np.repeat(amplitudes, cfg.dwell_samples)
     y = np.empty_like(u)
-    for k, uk in enumerate(u):
+    # Python floats: an overflow becomes inf without a numpy warning, and the
+    # finished series is checked once below
+    for k, uk in enumerate(u.tolist()):
         state, y[k] = step(state, params, uk)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        k = int(bad[0])
+        raise ExperimentDivergedError(
+            f"plant output is not finite from sample k={k} (u={float(u[k])!r} V, "
+            f"y={float(y[k])!r}); check the plant parameters"
+        )
     return IoLog(u, y, params.ts)
 
 

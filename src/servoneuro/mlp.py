@@ -8,7 +8,6 @@ has sum((n_{i}+1) * n_{i+1}) weights.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,20 +49,23 @@ class MlpNetwork:
         layer_sizes = tuple(int(n) for n in self.layer_sizes)
         activations = tuple(ActivationKind(a) for a in self.activations)
         _validate_architecture(layer_sizes, activations)
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (weight_count(layer_sizes),):
-            raise ArchitectureError(
-                f"weight vector has length {weights.size}, "
-                f"expected {weight_count(layer_sizes)}"
-            )
         object.__setattr__(self, "layer_sizes", layer_sizes)
         object.__setattr__(self, "activations", activations)
+        self._bind(self.weights)
+
+    def _bind(self, weights):
+        """Set the flat weight vector and the (W.T, b, is_tanh) layer views
+        into it that the forward passes and the Jacobian use."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (weight_count(self.layer_sizes),):
+            raise ArchitectureError(
+                f"weight vector has length {weights.size}, "
+                f"expected {weight_count(self.layer_sizes)}"
+            )
         object.__setattr__(self, "weights", weights)
-        # (W.T, b, is_tanh) per layer, views into `weights` built once for
-        # the forward passes
         object.__setattr__(self, "_views", tuple(
             (W.T, b, kind is ActivationKind.TANH)
-            for (W, b), kind in zip(self.layers(), activations)
+            for (W, b), kind in zip(self.layers(), self.activations)
         ))
 
     @property
@@ -87,7 +89,13 @@ class MlpNetwork:
             pos += (fi + 1) * fo
 
     def with_weights(self, weights: np.ndarray) -> "MlpNetwork":
-        return dataclasses.replace(self, weights=np.asarray(weights, dtype=float))
+        """The same architecture with new weights.  The architecture was
+        validated when this network was built, so only the length is checked."""
+        net = object.__new__(MlpNetwork)
+        object.__setattr__(net, "layer_sizes", self.layer_sizes)
+        object.__setattr__(net, "activations", self.activations)
+        net._bind(weights)
+        return net
 
     def __eq__(self, other):
         if not isinstance(other, MlpNetwork):
@@ -109,10 +117,6 @@ def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwor
     rng = np.random.default_rng(seed)
     w = rng.uniform(-scale, scale, weight_count(layer_sizes))
     return MlpNetwork(layer_sizes, activations, w)
-
-
-def _activate(z, kind):
-    return np.tanh(z) if kind is ActivationKind.TANH else z
 
 
 def _propagate(net: MlpNetwork, a: np.ndarray, ndim: int) -> np.ndarray:
@@ -159,36 +163,43 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray) -> 
     if targets.shape[0] != X.shape[0]:
         raise ValueError("inputs and targets disagree on pattern count")
 
+    views = net._views
     acts = [X]
-    zs = []
-    a = X
-    layers = list(net.layers())
-    for (W, b), kind in zip(layers, net.activations):
-        z = a @ W.T + b
-        a = _activate(z, kind)
-        zs.append(z)
-        acts.append(a)
+    for WT, b, is_tanh in views:
+        a = acts[-1] @ WT + b
+        acts.append(np.tanh(a) if is_tanh else a)
 
     P = X.shape[0]
     # dy/dz for the output layer
-    if net.activations[-1] is ActivationKind.TANH:
+    if views[-1][2]:
         delta = 1.0 - acts[-1] ** 2
     else:
         delta = np.ones((P, 1))
 
-    blocks = []
-    for layer in range(len(layers) - 1, -1, -1):
-        a_prev = acts[layer]
-        grad_w = delta[:, :, None] * a_prev[:, None, :]
-        block = np.concatenate([grad_w, delta[:, :, None]], axis=2)
-        blocks.append(block.reshape(P, -1))
+    # Each layer's block is written in place, negated through -delta (exact:
+    # -(d*a) == (-d)*a), looping over the shorter of fan-in and fan-out.
+    J = np.empty((P, net.n_weights))
+    end = net.n_weights
+    for layer in range(len(views) - 1, -1, -1):
+        WT = views[layer][0]
+        fi, fo = WT.shape
+        start = end - (fi + 1) * fo
+        block = J[:, start:end].reshape(P, fo, fi + 1)
+        a_prev, neg = acts[layer], -delta
+        if fi <= fo:
+            for i in range(fi):
+                np.multiply(neg, a_prev[:, i : i + 1], out=block[:, :, i])
+        else:
+            for o in range(fo):
+                np.multiply(neg[:, o : o + 1], a_prev, out=block[:, o, :fi])
+        block[:, :, fi] = neg
         if layer > 0:
-            W, _ = layers[layer]
-            back = delta @ W
-            if net.activations[layer - 1] is ActivationKind.TANH:
+            back = delta @ WT.T
+            if views[layer - 1][2]:
                 back = back * (1.0 - acts[layer] ** 2)
             delta = back
-    return -np.concatenate(blocks[::-1], axis=1)
+        end = start
+    return J
 
 
 # --- serialization ---------------------------------------------------------
@@ -247,6 +258,11 @@ def load_network(path):
     values = [float(v) for v in lines[8 : 8 + count]]
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} weights, found {len(values)}")
+    if len(lines) > 8 + count:
+        raise ValueError(
+            f"{path}: line {9 + count}: unexpected content after the {count} weights: "
+            f"{lines[8 + count]!r}"
+        )
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: weights must be finite")
     net = MlpNetwork(layer_sizes, activations, np.array(values))

@@ -220,15 +220,23 @@ def _normal_equations(JtJ, Jte, w, scale, beta):
     """Gauss-Newton Hessian H and exact gradient G of
     alpha/(2*norm)*sum(e^2) + beta*sum(w^2), given scale = alpha/norm:
     H = scale*J'J + 2*beta*I, G = scale*J'e + 2*beta*w."""
-    H = scale * JtJ + 2.0 * beta * np.eye(w.size)
+    H = scale * JtJ
+    H.flat[:: w.size + 1] += 2.0 * beta
     G = scale * Jte + 2.0 * beta * w
     return H, G
+
+
+def _damped(H, lam):
+    """H + lam*I as a new matrix; H is left alone for the next lambda trial."""
+    A = H.copy()
+    A.flat[:: H.shape[0] + 1] += lam
+    return A
 
 
 def _solve_step(H, G, lam):
     """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step."""
     try:
-        delta = np.linalg.solve(H + lam * np.eye(G.size), -G)
+        delta = np.linalg.solve(_damped(H, lam), -G)
     except np.linalg.LinAlgError as exc:
         raise StepFailedError(str(exc)) from exc
     if not np.all(np.isfinite(delta)):
@@ -368,7 +376,7 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
 
     def reestimate(epoch, H, lam, sse, ww, alpha, beta):
         # effective parameter count from the damped Hessian trace
-        Hinv = np.linalg.inv(H + lam * np.eye(N))
+        Hinv = np.linalg.inv(_damped(H, lam))
         gamma = float(np.clip(N - 2.0 * beta * np.trace(Hinv), 0.0, N))
         if epoch > 1 and (epoch - 1) % cfg.reestimate_every == 0:
             eds = 0.5 * sse

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import textwrap
 
 import pytest
@@ -9,7 +10,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from servoneuro.cli import EXIT_CONFIG, EXIT_OK, NetworkSpec, load_config, main
+from servoneuro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, NetworkSpec, load_config, main
 from servoneuro.experiment import StepExperimentConfig
 from servoneuro.plant import MotorParams
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
@@ -121,6 +122,15 @@ class TestCollect:
         run(["--config", path, "collect"])
         assert (out / "iolog.csv").read_bytes() == first
 
+    def test_overflowing_plant_exits_3_naming_the_sample(self, tmp_path, capsys):
+        path = write_config(tmp_path, "plant: {gain: 1.0e+308}\n")
+        out = tmp_path / "out"
+        assert run(["--config", path, "--out", str(out), "collect"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "not finite from sample k=6" in err
+        assert "Traceback" not in err
+        assert not (out / "iolog.csv").exists()
+
 
 class TestTrainControlCompare:
     def test_full_pipeline(self, fast_config):
@@ -219,6 +229,21 @@ class TestIoLogBoundary:
         assert "Traceback" not in err
 
 
+class TestNetworkFileBoundary:
+    def test_trailing_content_exits_1_naming_file_and_line(self, fast_config, capsys):
+        path, out = fast_config
+        assert run(["--config", path, "collect"]) == EXIT_OK
+        assert run(["--config", path, "train"]) == EXIT_OK
+        net = out / "controller.net"
+        n_lines = len(net.read_text().splitlines())
+        with net.open("a") as fh:
+            fh.write("junk\n")
+        assert run(["--config", path, "control", str(net)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"controller.net: line {n_lines + 1}" in err and "'junk'" in err
+        assert "Traceback" not in err
+
+
 class TestSvgEmission:
     def test_control_svg_files(self, fast_config):
         path, out = fast_config
@@ -303,6 +328,7 @@ def fuzz_dir(tmp_path_factory):
 @example(config={"plant": {"gain": 0}})
 @example(config={"experiment": {"amplitude_min": math.inf}})
 @example(config={"experiment": {"num_steps": 1, "dwell_samples": 2}})
+@example(config={"plant": {"gain": 1e308}})
 def test_collect_exit_code_contract(fuzz_dir, config):
     """Any config mapping (or YAML text) ends in a documented exit code, and
     no traceback reaches stderr."""
@@ -311,5 +337,95 @@ def test_collect_exit_code_contract(fuzz_dir, config):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["--config", str(path), "--out", str(fuzz_dir / "out"), "collect"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# --- exit-code contract under random argv ----------------------------------
+
+# Every file name is relative to the fixture directory, which is the working
+# directory while an argv runs.
+_TINY_CONFIG = """
+    experiment: {num_steps: 4, dwell_samples: 10}
+    trainer: {algorithm: ALGO, max_epochs: 2}
+    evaluation:
+      profile: [{level: 3.0, duration: 20}]
+      seeds: [0]
+    output_dir: out
+"""
+_CONFIG_FILES = ["lm.yaml", "br.yaml", "early_stop.yaml"]
+_JUNK = ["", "-1", "1.5", "x", "nan", "99999999999999999999", "a\x00b", "--", "-h", "--bogus"]
+_PATHS = ["iolog.csv", "ctl.net", "trailing.net", "junk.txt", "missing.net", "adir",
+          "out", "out/controller.net", "out/iolog.csv", *_CONFIG_FILES]
+_VALUES = st.sampled_from(_PATHS + _JUNK)
+_GLOBAL_OPTIONS = st.one_of(
+    st.just(["--svg"]),
+    st.tuples(st.sampled_from(["--config", "--seed", "--out"]), _VALUES).map(list),
+)
+_COMMAND_ARGS = {
+    "collect": st.just([]),
+    "train": st.lists(st.tuples(st.just("--iolog"), _VALUES).map(list), max_size=1),
+    "control": st.lists(st.one_of(st.just(["--oracle"]), _VALUES.map(lambda v: [v])), max_size=2),
+    "compare": st.lists(_VALUES.map(lambda v: [v]), max_size=3),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed command lines with drawn values, sometimes a bare
+    token soup; the first option is always one of the tiny configs, so every
+    run stays small."""
+    head = ["--config", draw(st.sampled_from(_CONFIG_FILES))]
+    tokens = st.sampled_from([*_COMMAND_ARGS, "--svg", "--oracle", "--iolog", "--seed",
+                              "--out", "--config", *_PATHS, *_JUNK])
+    if draw(st.integers(0, 4)) == 0:
+        return head + draw(st.lists(tokens, max_size=6))
+    options = [t for opt in draw(st.lists(_GLOBAL_OPTIONS, max_size=3)) for t in opt]
+    command = draw(st.sampled_from(list(_COMMAND_ARGS)))
+    args = [t for arg in draw(_COMMAND_ARGS[command]) for t in arg]
+    return head + options + [command] + args + draw(st.lists(tokens, max_size=1))
+
+
+@contextlib.contextmanager
+def _working_dir(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("argv")
+    for name in _CONFIG_FILES:
+        algorithm = name.removesuffix(".yaml")
+        (base / name).write_text(textwrap.dedent(_TINY_CONFIG.replace("ALGO", algorithm)))
+    with _working_dir(base), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", "lm.yaml", "collect"]) == EXIT_OK
+        assert main(["--config", "lm.yaml", "train"]) == EXIT_OK
+    (base / "iolog.csv").write_bytes((base / "out" / "iolog.csv").read_bytes())
+    net_text = (base / "out" / "controller.net").read_text()
+    (base / "ctl.net").write_text(net_text)
+    (base / "trailing.net").write_text(net_text + "0.5\n")
+    (base / "junk.txt").write_text("not a network, log or config: [\n")
+    (base / "adir").mkdir()
+    return base
+
+
+@given(argv=_argvs())
+@settings(max_examples=80, deadline=None)
+@example(argv=["--config", "lm.yaml", "--out", "a\x00b", "collect"])
+@example(argv=["--config", "lm.yaml", "train", "--iolog", "a\x00b"])
+@example(argv=["--config", "a\x00b", "collect"])
+@example(argv=["--config", "br.yaml", "compare", "ctl.net", "a\x00b"])
+def test_argv_exit_code_contract(argv_dir, argv):
+    """Any command line ends in a documented exit code, and no traceback
+    reaches stderr."""
+    err = io.StringIO()
+    with _working_dir(argv_dir), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

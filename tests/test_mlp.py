@@ -201,3 +201,13 @@ class TestSerialization:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
             mlp.load_network(path)
+
+    def test_trailing_content_rejected(self, tmp_path):
+        net = mlp.init_weights([2, 2, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        path = tmp_path / "net.txt"
+        mlp.save_network(path, net)
+        n_lines = len(path.read_text().splitlines())
+        with path.open("a") as fh:
+            fh.write("0.25\nmore\n")
+        with pytest.raises(ValueError, match=rf"net\.txt: line {n_lines + 1}: .*'0\.25'"):
+            mlp.load_network(path)

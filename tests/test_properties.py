@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,63 @@ def test_controller_matches_array_scaling_bit_for_bit(net, seed, log_scale):
     expected = target_scaling.invert(np.array([out]))[0]
     got = NeuralController(net, input_scaling, target_scaling)(regressor)
     assert _bits(got) == _bits(expected)
+
+
+def _concatenated_error_jacobian(net, X):
+    """The error Jacobian as first written: one broadcast block per layer,
+    concatenated and then negated.  error_jacobian must match it bit for bit."""
+    acts = [X]
+    a = X
+    layers = list(net.layers())
+    for (W, b), kind in zip(layers, net.activations):
+        a = a @ W.T + b
+        if kind is mlp.ActivationKind.TANH:
+            a = np.tanh(a)
+        acts.append(a)
+    P = X.shape[0]
+    if net.activations[-1] is mlp.ActivationKind.TANH:
+        delta = 1.0 - acts[-1] ** 2
+    else:
+        delta = np.ones((P, 1))
+    blocks = []
+    for layer in range(len(layers) - 1, -1, -1):
+        grad_w = delta[:, :, None] * acts[layer][:, None, :]
+        block = np.concatenate([grad_w, delta[:, :, None]], axis=2)
+        blocks.append(block.reshape(P, -1))
+        if layer > 0:
+            back = delta @ layers[layer][0]
+            if net.activations[layer - 1] is mlp.ActivationKind.TANH:
+                back = back * (1.0 - acts[layer] ** 2)
+            delta = back
+    return -np.concatenate(blocks[::-1], axis=1)
+
+
+@given(
+    net=networks(output_width=1),
+    n_patterns=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.integers(-3, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_error_jacobian_matches_concatenated_form_bit_for_bit(net, n_patterns, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
+    J = mlp.error_jacobian(net, X, rng.normal(size=(n_patterns, 1)))
+    assert J.flags.c_contiguous
+    assert J.shape == (n_patterns, net.n_weights)
+    assert _bits(J) == _bits(_concatenated_error_jacobian(net, X))
+
+
+@given(net=networks(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_with_weights_matches_constructor(net, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=net.n_weights)
+    X = rng.normal(size=(7, net.input_width))
+    fresh = mlp.MlpNetwork(net.layer_sizes, net.activations, w)
+    rebound = net.with_weights(w)
+    assert rebound == fresh
+    assert _bits(mlp.forward_batch(rebound, X)) == _bits(mlp.forward_batch(fresh, X))
+    for bad in (w[:-1], np.append(w, 0.0), w[:, None]):
+        with pytest.raises(mlp.ArchitectureError):
+            net.with_weights(bad)
