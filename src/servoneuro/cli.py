@@ -274,7 +274,7 @@ def cmd_train(config, args) -> int:
     out = _ensure_outdir(config)
     iolog_path = Path(args.iolog) if args.iolog else out / "iolog.csv"
     try:
-        log = exp.load_iolog(iolog_path, config.plant.ts)
+        log = exp.load_iolog(iolog_path)
         dataset = exp.build_inverse_dataset(log)
     except OSError as exc:
         raise ConfigError(f"cannot read I/O log: {exc}") from exc

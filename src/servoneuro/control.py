@@ -56,7 +56,6 @@ class ClosedLoopTrace:
     r: np.ndarray
     y: np.ndarray
     u: np.ndarray
-    ts: float
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -140,7 +139,7 @@ def run_closed_loop(
     for k, r_k in enumerate(r.tolist()):
         u = float(controller(np.array([r_k, y_now, y_prev, u1, u2])))
         if not math.isfinite(u):
-            partial = ClosedLoopTrace(r[:k], ys, us, params.ts)
+            partial = ClosedLoopTrace(r[:k], ys, us)
             raise ControllerDivergedError(
                 f"controller output not finite at sample {k}", partial
             )
@@ -150,7 +149,7 @@ def run_closed_loop(
         us.append(u)
         y_prev, y_now = y_now, measured
         u2, u1 = u1, u
-    return ClosedLoopTrace(r, ys, us, params.ts)
+    return ClosedLoopTrace(r, ys, us)
 
 
 def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:

@@ -48,7 +48,6 @@ class StepExperimentConfig:
 class IoLog:
     u: np.ndarray
     y: np.ndarray
-    ts: float
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -90,7 +89,7 @@ def run_step_experiment(params: MotorParams, cfg: StepExperimentConfig) -> IoLog
             f"plant output is not finite from sample k={k} (u={float(u[k])!r} V, "
             f"y={float(y[k])!r}); check the plant parameters"
         )
-    return IoLog(u, y, params.ts)
+    return IoLog(u, y)
 
 
 def build_inverse_dataset(log: IoLog) -> Dataset:
@@ -116,7 +115,7 @@ def save_iolog(log: IoLog, path):
             writer.writerow([k, repr(float(log.u[k])), repr(float(log.y[k]))])
 
 
-def load_iolog(path, ts: float) -> IoLog:
+def load_iolog(path) -> IoLog:
     """Read a log written by `save_iolog`.  Every u and y must be a finite
     number and the log must be long enough to train on; a ValueError names the
     file and, for a bad value, its line."""
@@ -142,6 +141,6 @@ def load_iolog(path, ts: float) -> IoLog:
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     try:
-        return IoLog(np.array(u), np.array(y), ts)
+        return IoLog(np.array(u), np.array(y))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

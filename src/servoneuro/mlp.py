@@ -207,12 +207,8 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray) -> 
 _MAGIC = "servoneuro-net 1"
 
 
-def save_network(path, net: MlpNetwork, input_scaling=None, target_scaling=None):
+def save_network(path, net: MlpNetwork, input_scaling, target_scaling):
     """Write a network plus its scaling metadata as round-trip-exact text."""
-    if input_scaling is None:
-        input_scaling = AffineScaling.identity(net.input_width)
-    if target_scaling is None:
-        target_scaling = AffineScaling.identity(net.output_width)
     lines = [
         _MAGIC,
         "layers " + " ".join(str(n) for n in net.layer_sizes),

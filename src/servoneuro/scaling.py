@@ -38,10 +38,6 @@ class AffineScaling:
         return np.asarray(scaled, dtype=float) / self.gain + self.offset
 
     @classmethod
-    def identity(cls, width: int) -> "AffineScaling":
-        return cls(np.zeros(width), np.ones(width))
-
-    @classmethod
     def to_unit_range(cls, data: np.ndarray) -> "AffineScaling":
         """Scaling that maps each column of `data` onto [-1, 1].
 

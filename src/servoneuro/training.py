@@ -56,24 +56,15 @@ class Dataset:
             raise ValueError("target scaling width mismatch")
 
     @classmethod
-    def from_raw(cls, inputs, targets, scale: bool = True) -> "Dataset":
+    def from_raw(cls, inputs, targets) -> "Dataset":
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        if scale:
-            in_s = AffineScaling.to_unit_range(inputs)
-            out_s = AffineScaling.to_unit_range(targets)
-        else:
-            in_s = AffineScaling.identity(inputs.shape[1])
-            out_s = AffineScaling.identity(targets.shape[1])
+        in_s, out_s = AffineScaling.to_unit_range(inputs), AffineScaling.to_unit_range(targets)
         return cls(inputs, targets, in_s, out_s)
 
     @property
     def n_patterns(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.targets.shape[1]
 
     def scaled_inputs(self) -> np.ndarray:
         return self.input_scaling.apply(self.inputs)
@@ -167,7 +158,6 @@ class EpochRecord:
 class TrainReport:
     records: list
     stop_reason: StopReason
-    final_weights: np.ndarray
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -194,36 +184,28 @@ class TrainReport:
 # --- error functionals -----------------------------------------------------
 
 
-def compute_ed(net: MlpNetwork, data: Dataset) -> float:
-    """Mean squared error (1/2P) sum of squared residuals, in scaled units."""
-    e = data.scaled_targets() - forward_batch(net, data.scaled_inputs())
-    return float(np.sum(e * e) / (2.0 * data.n_patterns))
-
-
-def compute_ew(net: MlpNetwork) -> float:
-    """Sum of squares of every weight and bias."""
-    return float(np.dot(net.weights, net.weights))
-
-
-def compute_er(alpha: float, beta: float, ed: float, ew: float) -> float:
-    """Regularized objective alpha*E_D + beta*E_W."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
-    return alpha * ed + beta * ew
-
-
 def _residual(net, X, D):
     return (D - forward_batch(net, X)).ravel()
 
 
-def _normal_equations(JtJ, Jte, w, scale, beta):
-    """Gauss-Newton Hessian H and exact gradient G of
-    alpha/(2*norm)*sum(e^2) + beta*sum(w^2), given scale = alpha/norm:
-    H = scale*J'J + 2*beta*I, G = scale*J'e + 2*beta*w."""
+def _ed(net, X, D):
+    """(1/2P) sum of squared residuals of `net` on scaled patterns X, D."""
+    e = _residual(net, X, D)
+    return float(np.dot(e, e) / (2.0 * X.shape[0]))
+
+
+def compute_ed(net: MlpNetwork, data: Dataset) -> float:
+    """Mean squared error (1/2P) sum of squared residuals, in scaled units."""
+    return _ed(net, data.scaled_inputs(), data.scaled_targets())
+
+
+def _hessian(JtJ, scale, beta):
+    """Gauss-Newton Hessian H = scale*J'J + 2*beta*I of
+    alpha/(2*norm)*sum(e^2) + beta*sum(w^2), given scale = alpha/norm.
+    Its exact gradient is G = scale*J'e + 2*beta*w."""
     H = scale * JtJ
-    H.flat[:: w.size + 1] += 2.0 * beta
-    G = scale * Jte + 2.0 * beta * w
-    return H, G
+    H.flat[:: H.shape[0] + 1] += 2.0 * beta
+    return H
 
 
 def _damped(H, lam):
@@ -275,7 +257,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     sse, ww = float(np.dot(e, e)), float(np.dot(w, w))
     if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError(
-            "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS, w)
+            "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS)
         )
 
     stop = StopReason.MAX_EPOCHS
@@ -287,11 +269,12 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         while True:
             try:
                 if system is None:
-                    if reestimate is not None:
-                        H, _ = _normal_equations(JtJ, Jte, w, alpha / norm, beta)
+                    if reestimate is not None:  # H at the old alpha, beta; the step's at the new
+                        H = _hessian(JtJ, alpha / norm, beta)
                         alpha, beta, gamma = reestimate(epoch, H, lam, sse, ww, alpha, beta)
                     f = objective(sse, ww)
-                    system = _normal_equations(JtJ, Jte, w, alpha / norm, beta)
+                    scale = alpha / norm
+                    system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * w
                 w_cand = w + _solve_step(*system, lam)
                 e_cand = _residual(net.with_weights(w_cand), X, D)
                 sse_cand = float(np.dot(e_cand, e_cand))
@@ -330,7 +313,7 @@ def train_lm(net: MlpNetwork, data: Dataset, cfg: LmConfig):
     """Plain Levenberg-Marquardt on E_D."""
     X, D = data.scaled_inputs(), data.scaled_targets()
     w, records, stop = _gauss_newton(net, X, D, cfg, data.n_patterns)
-    return net.with_weights(w), TrainReport(records, stop, w.copy())
+    return net.with_weights(w), TrainReport(records, stop)
 
 
 def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
@@ -349,9 +332,7 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
 
     def hook(epoch, w, rec):
         nonlocal best_val, best_w, prev_val, rises
-        e = _residual(net.with_weights(w), Xv, Dv)
-        val = float(np.dot(e, e) / (2.0 * Xv.shape[0]))
-        rec.val_ed = val
+        val = rec.val_ed = _ed(net.with_weights(w), Xv, Dv)
         if val < best_val:
             best_val = val
             best_w = w.copy()
@@ -360,7 +341,7 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
         return rises >= cfg.patience
 
     _, records, stop = _gauss_newton(net, X, D, cfg.lm, train_set.n_patterns, epoch_hook=hook)
-    return net.with_weights(best_w), TrainReport(records, stop, best_w.copy())
+    return net.with_weights(best_w), TrainReport(records, stop)
 
 
 def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
@@ -389,7 +370,7 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
     w, records, stop = _gauss_newton(
         net, X, D, cfg.lm, 1.0, cfg.alpha_init, cfg.beta_init, reestimate=reestimate
     )
-    return net.with_weights(w), TrainReport(records, stop, w.copy())
+    return net.with_weights(w), TrainReport(records, stop)
 
 
 def split_dataset(data: Dataset, fraction: float, seed: int):

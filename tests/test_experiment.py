@@ -60,7 +60,7 @@ class TestBuildInverseDataset:
         # 6-sample log: first pattern is (y3, y2, y1, u1, u0) -> u2
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         y = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        ds = build_inverse_dataset(IoLog(u, y, 0.05))
+        ds = build_inverse_dataset(IoLog(u, y))
         assert ds.n_patterns == 3
         assert np.array_equal(ds.inputs[0], [40.0, 30.0, 20.0, 2.0, 1.0])
         assert ds.targets[0, 0] == 3.0
@@ -68,12 +68,12 @@ class TestBuildInverseDataset:
     def test_constant_settled_log_targets_constant(self, quiet):
         u = np.full(50, 4.5)
         y = np.full(50, steady_state(quiet, 4.5))
-        ds = build_inverse_dataset(IoLog(u, y, 0.05))
+        ds = build_inverse_dataset(IoLog(u, y))
         assert np.all(ds.targets == 4.5)
 
     def test_too_short_log_rejected(self):
         with pytest.raises(ValueError):
-            build_inverse_dataset(IoLog([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 0.05))
+            build_inverse_dataset(IoLog([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]))
 
     def test_scaled_inputs_in_unit_range(self, quiet):
         cfg = StepExperimentConfig(num_steps=5, dwell_samples=30, seed=3)
@@ -90,7 +90,7 @@ class TestIoLogCsv:
         log = run_step_experiment(params, cfg)
         path = tmp_path / "iolog.csv"
         save_iolog(log, path)
-        again = load_iolog(path, params.ts)
+        again = load_iolog(path)
         assert np.array_equal(log.u, again.u)
         assert np.array_equal(log.y, again.y)
 
@@ -98,4 +98,4 @@ class TestIoLogCsv:
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5,6\n")
         with pytest.raises(ValueError):
-            load_iolog(path, 0.05)
+            load_iolog(path)

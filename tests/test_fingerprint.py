@@ -122,7 +122,6 @@ def test_criterion_6_training_seed_0():
     lm = tr.LmConfig(max_epochs=150)
     runs = {"lm": tr.train_lm(net, ds, lm), "br": tr.train_br(net, ds, tr.BrConfig(lm=lm))}
     for name, (trained, report) in runs.items():
-        assert report.final_weights.tobytes() == trained.weights.tobytes()
         records = "\n".join(repr(dataclasses.astuple(r)) for r in report.records)
         got = (
             sha256(trained.weights.tobytes()),

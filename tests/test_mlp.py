@@ -175,6 +175,10 @@ class TestFlattenUnflatten:
         assert mlp.forward(bumped, x_inactive) == mlp.forward(net, x_inactive)
 
 
+def unit_scaling(width):
+    return AffineScaling(np.zeros(width), np.ones(width))
+
+
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=13, scale=0.9)
@@ -196,7 +200,7 @@ class TestSerialization:
     def test_truncated_weights_rejected(self, tmp_path):
         net = mlp.init_weights([2, 2, 1], ["tanh", "linear"], seed=0, scale=0.5)
         path = tmp_path / "net.txt"
-        mlp.save_network(path, net)
+        mlp.save_network(path, net, unit_scaling(2), unit_scaling(1))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
@@ -205,7 +209,7 @@ class TestSerialization:
     def test_trailing_content_rejected(self, tmp_path):
         net = mlp.init_weights([2, 2, 1], ["tanh", "linear"], seed=0, scale=0.5)
         path = tmp_path / "net.txt"
-        mlp.save_network(path, net)
+        mlp.save_network(path, net, unit_scaling(2), unit_scaling(1))
         n_lines = len(path.read_text().splitlines())
         with path.open("a") as fh:
             fh.write("0.25\nmore\n")

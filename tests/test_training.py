@@ -14,8 +14,6 @@ from servoneuro.training import (
     LmConfig,
     StopReason,
     compute_ed,
-    compute_er,
-    compute_ew,
     split_dataset,
     train_br,
     train_early_stopping,
@@ -23,8 +21,13 @@ from servoneuro.training import (
 )
 
 
+def unit_scaling(width):
+    return AffineScaling(np.zeros(width), np.ones(width))
+
+
 def identity_dataset(inputs, targets):
-    return Dataset.from_raw(inputs, targets, scale=False)
+    inputs, targets = np.atleast_2d(inputs), np.atleast_2d(targets)
+    return Dataset(inputs, targets, unit_scaling(inputs.shape[1]), unit_scaling(targets.shape[1]))
 
 
 def sine_dataset(noise=0.0, n=50, seed=0):
@@ -53,24 +56,34 @@ class TestErrorFunctionals:
         ds = identity_dataset([[0.0], [0.0]], [[1.0], [-1.0]])
         assert compute_ed(net, ds) == 0.5
 
-    def test_ew_zero_weights(self):
-        net = MlpNetwork((1, 1), (ActivationKind.LINEAR,), np.zeros(2))
-        assert compute_ew(net) == 0.0
+    @pytest.mark.parametrize("algorithm", ["lm", "br", "early_stop"])
+    def test_ew_is_squared_norm_of_returned_weights(self, algorithm):
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        lm = LmConfig(max_epochs=10)
+        train, cfg = {
+            "lm": (train_lm, lm),
+            "br": (train_br, BrConfig(lm=lm)),
+            "early_stop": (train_early_stopping, EarlyStopConfig(lm=lm)),
+        }[algorithm]
+        trained, report = train(net, ds, cfg)
+        rec = report.records[-1]
+        if algorithm == "early_stop":  # the snapshot is the first best-validation epoch
+            rec = min(report.records, key=lambda r: r.val_ed)
+        w = trained.weights
+        assert rec.ew == w @ w
 
-    def test_ew_sum_of_squares(self):
-        net = MlpNetwork((1, 1), (ActivationKind.LINEAR,), np.array([1.0, 2.0]))
-        assert compute_ew(net) == 5.0
-
-    def test_ew_equals_squared_norm(self):
-        net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=2, scale=0.5)
-        assert compute_ew(net) == pytest.approx(float(np.sum(net.weights**2)))
-
-    @pytest.mark.parametrize(
-        "alpha,beta,ed,ew,expected",
-        [(1.0, 0.0, 0.7, 99.0, 0.7), (0.0, 1.0, 0.7, 99.0, 99.0), (2.0, 3.0, 0.5, 5.0, 16.0)],
-    )
-    def test_er(self, alpha, beta, ed, ew, expected):
-        assert compute_er(alpha, beta, ed, ew) == expected
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
+    def test_er_of_one_br_epoch(self, alpha, beta):
+        # E_R = alpha*sum(e^2)/2 + beta*E_W; epoch 1 keeps the initial strengths
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        cfg = BrConfig(lm=LmConfig(max_epochs=1), alpha_init=alpha, beta_init=beta)
+        trained, report = train_br(net, ds, cfg)
+        (rec,) = report.records
+        assert (rec.alpha, rec.beta) == (alpha, beta)
+        e = (ds.scaled_targets() - mlp.forward_batch(trained, ds.scaled_inputs())).ravel()
+        assert rec.er == rec.alpha * (e @ e) / 2 + rec.beta * rec.ew
 
 
 class TestLmStep:
@@ -80,16 +93,20 @@ class TestLmStep:
         X, D = ds.scaled_inputs(), ds.scaled_targets()
         J = mlp.error_jacobian(net, X, D)
         e = (D - mlp.forward_batch(net, X)).ravel()
-        H, G = tr._normal_equations(J.T @ J, J.T @ e, net.weights, 1.0 / ds.n_patterns, 0.0)
+        scale = 1.0 / ds.n_patterns
+        H, G = tr._hessian(J.T @ J, scale, 0.0), scale * (J.T @ e)
         return H, G, tr._solve_step(H, G, lam)
 
     def test_one_weight_hand_algebra(self):
         # x=1, d=1, w=0: J=[-1], H=1, G=-1, so the undamped step lands at w=1
         J, e = np.array([[-1.0]]), np.array([1.0])
-        H, G = tr._normal_equations(J.T @ J, J.T @ e, np.array([0.0]), 1.0, 0.0)
+        H, G = tr._hessian(J.T @ J, 1.0, 0.0), J.T @ e
         assert H[0, 0] == 1.0
         assert G[0] == -1.0
         assert tr._solve_step(H, G, 0.0)[0] == 1.0
+        # weight decay adds 2*beta on the diagonal only
+        H = tr._hessian(np.array([[1.0, 2.0], [2.0, 4.0]]), 0.5, 1.5)
+        assert np.array_equal(H, [[3.5, 1.0], [1.0, 5.0]])
 
     def test_newton_solves_linear_problem_in_one_step(self):
         net = MlpNetwork((1, 1), (ActivationKind.LINEAR,), np.array([0.0, 0.0]))
@@ -162,10 +179,10 @@ class TestTrainLm:
     def test_deterministic_reports(self):
         ds = sine_dataset(noise=0.05)
         net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=1, scale=0.5)
-        _, a = train_lm(net, ds, LmConfig(max_epochs=20))
-        _, b = train_lm(net, ds, LmConfig(max_epochs=20))
+        net_a, a = train_lm(net, ds, LmConfig(max_epochs=20))
+        net_b, b = train_lm(net, ds, LmConfig(max_epochs=20))
         assert a.stop_reason == b.stop_reason
-        assert np.array_equal(a.final_weights, b.final_weights)
+        assert np.array_equal(net_a.weights, net_b.weights)
         assert [(r.ed, r.ew, r.lam) for r in a.records] == [(r.ed, r.ew, r.lam) for r in b.records]
 
     def test_does_not_mutate_input_network(self):
@@ -209,16 +226,16 @@ class TestTrainBr:
     def test_deterministic(self):
         ds = sine_dataset(noise=0.1)
         net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
-        _, a = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
-        _, b = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
-        assert np.array_equal(a.final_weights, b.final_weights)
+        a, _ = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
+        b, _ = train_br(net, ds, BrConfig(lm=LmConfig(max_epochs=15)))
+        assert np.array_equal(a.weights, b.weights)
 
     def test_gamma_inverse_failure_is_a_failed_lambda_trial(self, monkeypatch):
         ds = sine_dataset(noise=0.1)
         net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
         lm = LmConfig(max_epochs=5)
         raised = LmConfig(max_epochs=5, lambda_init=lm.lambda_init * lm.lambda_increase)
-        _, expected = train_br(net, ds, BrConfig(lm=raised))
+        expected_net, expected = train_br(net, ds, BrConfig(lm=raised))
         real_inv = np.linalg.inv
         calls = []
 
@@ -229,9 +246,9 @@ class TestTrainBr:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", inv_failing_once)
-        _, report = train_br(net, ds, BrConfig(lm=lm))
+        trained, report = train_br(net, ds, BrConfig(lm=lm))
         # the failed trial raised lambda once, then the run went on as if started there
-        assert np.array_equal(report.final_weights, expected.final_weights)
+        assert np.array_equal(trained.weights, expected_net.weights)
         assert [(r.lam, r.gamma) for r in report.records] == [
             (r.lam, r.gamma) for r in expected.records
         ]
