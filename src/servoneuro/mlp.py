@@ -223,35 +223,42 @@ def save_network(path, net: MlpNetwork, input_scaling, target_scaling):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse(path, number, key, text, convert):
+    """convert(text), or a ValueError naming the file, the line and the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {number}: invalid {key} value {text!r}") from None
+
+
 def load_network(path):
-    """Read a serialized network; returns (net, input_scaling, target_scaling)."""
+    """Read a serialized network; returns (net, input_scaling, target_scaling).
+    A ValueError names the file and, for a bad value, its line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a servoneuro network file")
 
     fields = {}
-    for line in lines[1:8]:
+    for number, line in enumerate(lines[1:8], start=2):
         key, _, rest = line.partition(" ")
-        fields[key] = rest.split()
-    required = (
-        "layers",
-        "activations",
-        "input_offset",
-        "input_gain",
-        "target_offset",
-        "target_gain",
-        "weights",
-    )
+        fields[key] = number, rest.split()
+    required = ("layers", "activations", "input_offset", "input_gain",
+                "target_offset", "target_gain", "weights")
     missing = [k for k in required if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing header field(s) {missing}")
 
-    layer_sizes = tuple(int(n) for n in fields["layers"])
-    activations = tuple(ActivationKind(a) for a in fields["activations"])
-    if len(fields["weights"]) != 1:
-        raise ValueError(f"{path}: header field 'weights' must hold one count")
-    count = int(fields["weights"][0])
-    values = [float(v) for v in lines[8 : 8 + count]]
+    def header(key, convert):
+        number, texts = fields[key]
+        return number, [_parse(path, number, key, t, convert) for t in texts]
+
+    layer_sizes = tuple(header("layers", int)[1])
+    activations = tuple(header("activations", ActivationKind)[1])
+    number, counts = header("weights", int)
+    if len(counts) != 1:
+        raise ValueError(f"{path}: line {number}: header field 'weights' must hold one count")
+    count = counts[0]
+    values = [_parse(path, n, "weight", t, float) for n, t in enumerate(lines[8 : 8 + count], 9)]
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} weights, found {len(values)}")
     if len(lines) > 8 + count:
@@ -261,13 +268,26 @@ def load_network(path):
         )
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: weights must be finite")
-    net = MlpNetwork(layer_sizes, activations, np.array(values))
-    input_scaling = AffineScaling(
-        np.array([float(v) for v in fields["input_offset"]]),
-        np.array([float(v) for v in fields["input_gain"]]),
-    )
-    target_scaling = AffineScaling(
-        np.array([float(v) for v in fields["target_offset"]]),
-        np.array([float(v) for v in fields["target_gain"]]),
-    )
-    return net, input_scaling, target_scaling
+    try:
+        net = MlpNetwork(layer_sizes, activations, np.array(values))
+    except ArchitectureError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+    scalings = []
+    for side, width, what in (
+        ("input", net.input_width, "input"), ("target", net.output_width, "output")
+    ):
+        parts = []
+        for key in (f"{side}_offset", f"{side}_gain"):
+            number, part = header(key, float)
+            if len(part) != width:
+                raise ValueError(
+                    f"{path}: line {number}: {key} has {len(part)} value(s), "
+                    f"but the network's {what} width is {width}"
+                )
+            parts.append(np.array(part))
+        try:
+            scalings.append(AffineScaling(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {side} scaling: {exc}") from None
+    return (net, *scalings)

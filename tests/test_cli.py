@@ -229,7 +229,50 @@ class TestIoLogBoundary:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def net_text(tmp_path_factory):
+    """The text of a .net file trained with FAST_CONFIG."""
+    base = tmp_path_factory.mktemp("net")
+    path = write_config(base, FAST_CONFIG.replace("OUT", str(base / "out")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["--config", path, "collect"]) == EXIT_OK
+        assert run(["--config", path, "train"]) == EXIT_OK
+    return (base / "out" / "controller.net").read_text()
+
+
+# case -> (0-based line of a trained 5-10-1 .net file, how to spoil it)
+_NET_EDITS = {
+    "weight": (8, lambda line: "abc"),
+    "layer-width": (1, lambda line: "layers 5 x 1"),
+    "weight-count": (7, lambda line: "weights x"),
+    "scaling-value": (4, lambda line: line.rsplit(" ", 1)[0] + " abc"),
+    "activation": (2, lambda line: "activations relu linear"),
+    "input-offset-width": (3, lambda line: " ".join(line.split()[:4])),
+    "input-gain-width": (4, lambda line: " ".join(line.split()[:4])),
+    "target-offset-width": (5, lambda line: line + " 1.0"),
+    "target-gain-width": (6, lambda line: line + " 1.0"),
+}
+
+
 class TestNetworkFileBoundary:
+    @pytest.mark.parametrize("command", ["control", "compare"])
+    @pytest.mark.parametrize("case", sorted(_NET_EDITS))
+    def test_bad_header_or_weight_exits_1_naming_file_and_line(
+        self, net_text, tmp_path, capsys, case, command
+    ):
+        index, spoil = _NET_EDITS[case]
+        lines = net_text.splitlines()
+        lines[index] = spoil(lines[index])
+        good, edited = tmp_path / "good.net", tmp_path / "edited.net"
+        good.write_text(net_text)
+        edited.write_text("\n".join(lines) + "\n")
+        nets = [str(edited)] if command == "control" else [str(good), str(edited)]
+        path = write_config(tmp_path, FAST_CONFIG.replace("OUT", str(tmp_path / "out")))
+        assert run(["--config", path, command, *nets]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"edited.net: line {index + 1}:" in err
+        assert "Traceback" not in err
+
     def test_trailing_content_exits_1_naming_file_and_line(self, fast_config, capsys):
         path, out = fast_config
         assert run(["--config", path, "collect"]) == EXIT_OK
