@@ -33,13 +33,9 @@ class ConfigError(ValueError):
     pass
 
 
-# Inverse-controller regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] -> u(k)
-_REGRESSOR_WIDTH = 5
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
-    layer_sizes: tuple = (_REGRESSOR_WIDTH, 10, 1)
+    layer_sizes: tuple = (ctl.REGRESSOR_WIDTH, 10, 1)
     activations: tuple = ("tanh", "linear")
     init_seed: int = 0
     init_scale: float = 0.5
@@ -48,9 +44,9 @@ class NetworkSpec:
         sizes = self.layer_sizes
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes):
             raise ValueError(f"layer_sizes must be positive integers, got {sizes}")
-        if len(sizes) < 2 or sizes[0] != _REGRESSOR_WIDTH or sizes[-1] != 1:
+        if len(sizes) < 2 or sizes[0] != ctl.REGRESSOR_WIDTH or sizes[-1] != 1:
             raise ValueError(
-                f"layer_sizes must have {_REGRESSOR_WIDTH} inputs (the regressor width) "
+                f"layer_sizes must have {ctl.REGRESSOR_WIDTH} inputs (the regressor width) "
                 f"and 1 output, got {sizes}"
             )
         if len(self.activations) != len(sizes) - 1:

@@ -20,6 +20,10 @@ from .scaling import AffineScaling
 U_MIN = 2.5
 U_MAX = 6.5
 
+# Width of the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] an inverse
+# controller maps to u(k).
+REGRESSOR_WIDTH = 5
+
 
 @dataclass(frozen=True)
 class ReferenceProfile:
@@ -91,8 +95,8 @@ class NeuralController:
     target_scaling: AffineScaling
 
     def __post_init__(self):
-        if self.net.input_width != 5:
-            raise ValueError("inverse controller network must have 5 inputs")
+        if self.net.input_width != REGRESSOR_WIDTH:
+            raise ValueError(f"inverse controller network must have {REGRESSOR_WIDTH} inputs")
         if self.net.output_width != 1:
             raise ValueError("inverse controller network must have 1 output")
         # target_scaling.invert on one value, as Python floats (same IEEE bits)
