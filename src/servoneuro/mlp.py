@@ -242,8 +242,15 @@ def load_network(path):
     for number, line in enumerate(lines[1:8], start=2):
         key, _, rest = line.partition(" ")
         fields[key] = number, rest.split()
-    required = ("layers", "activations", "input_offset", "input_gain",
-                "target_offset", "target_gain", "weights")
+    required = (
+        "layers",
+        "activations",
+        "input_offset",
+        "input_gain",
+        "target_offset",
+        "target_gain",
+        "weights",
+    )
     missing = [k for k in required if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing header field(s) {missing}")
@@ -274,16 +281,14 @@ def load_network(path):
         raise ValueError(f"{path}: {exc}") from None
 
     scalings = []
-    for side, width, what in (
-        ("input", net.input_width, "input"), ("target", net.output_width, "output")
-    ):
+    for side, width in (("input", net.input_width), ("target", net.output_width)):
         parts = []
         for key in (f"{side}_offset", f"{side}_gain"):
             number, part = header(key, float)
             if len(part) != width:
                 raise ValueError(
                     f"{path}: line {number}: {key} has {len(part)} value(s), "
-                    f"but the network's {what} width is {width}"
+                    f"but the network's {side} width is {width}"
                 )
             parts.append(np.array(part))
         try:
