@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import control as ctl

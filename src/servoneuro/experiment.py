@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

@@ -9,7 +9,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
