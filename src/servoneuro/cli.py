@@ -331,16 +331,19 @@ def cmd_control(config, args) -> int:
             raise ConfigError("control needs a network file (or --oracle)")
         controller = _load_controller(args.network)
     profile = config.evaluation.profile
+    seeds = config.evaluation.seeds
+    results = ctl.run_closed_loops(
+        [(plant, controller, profile, seed) for seed in seeds],
+        lambda trace: (trace, ctl.compute_indices(trace)),
+    )
     rows = []
-    for seed in config.evaluation.seeds:
-        try:
-            trace = ctl.run_closed_loop(plant, controller, profile, seed)
-        except ctl.ControllerDivergedError as exc:
-            ctl.trace_to_csv(exc.trace, out / f"trace_{seed}.csv")
-            print(f"seed {seed}: {exc}", file=sys.stderr)
+    for seed, result in zip(seeds, results):
+        if isinstance(result, ctl.ControllerDivergedError):
+            ctl.trace_to_csv(result.trace, out / f"trace_{seed}.csv")
+            print(f"seed {seed}: {result}", file=sys.stderr)
             return EXIT_NUMERIC
+        trace, idx = result
         ctl.trace_to_csv(trace, out / f"trace_{seed}.csv")
-        idx = ctl.compute_indices(trace)
         rows.append((seed, idx))
         print(
             f"seed {seed}: mean_abs_error = {idx.mean_abs_error:.6f} V, "

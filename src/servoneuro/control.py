@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -79,11 +82,15 @@ class PerformanceIndices:
 
 
 class ControllerDivergedError(RuntimeError):
-    """Controller produced a non-finite output; carries the partial trace."""
+    """The closed loop produced a non-finite controller output or performance
+    index; carries the trace up to that point."""
 
     def __init__(self, message, trace: ClosedLoopTrace):
         super().__init__(message)
         self.trace = trace
+
+    def __reduce__(self):  # pickles with its trace (a forked worker sends it back)
+        return type(self), (str(self), self.trace)
 
 
 @dataclass(frozen=True)
@@ -157,12 +164,109 @@ def run_closed_loop(
 
 
 def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:
+    """Mean |r-y| and mean |u|; a mean that overflows (a finite but huge
+    output) is a numeric failure, raised as ControllerDivergedError."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    return PerformanceIndices(
-        mean_abs_error=float(np.mean(np.abs(trace.r - trace.y))),
-        control_effort=float(np.mean(np.abs(trace.u))),
-    )
+    with np.errstate(over="ignore"):
+        indices = PerformanceIndices(
+            mean_abs_error=float(np.mean(np.abs(trace.r - trace.y))),
+            control_effort=float(np.mean(np.abs(trace.u))),
+        )
+    if not (math.isfinite(indices.mean_abs_error) and math.isfinite(indices.control_effort)):
+        raise ControllerDivergedError(
+            f"performance index not finite: mean_abs_error = {indices.mean_abs_error!r}, "
+            f"control_effort = {indices.control_effort!r}",
+            trace,
+        )
+    return indices
+
+
+def _run_jobs(jobs, summarize):
+    results = []
+    for job in jobs:
+        try:
+            results.append(summarize(run_closed_loop(*job)))
+        except ControllerDivergedError as exc:
+            results.append(exc)
+    return results
+
+
+def _transportable(exc):
+    """`exc` if it survives pickling, else a ChildProcessError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return ChildProcessError(f"closed-loop worker failed: {type(exc).__name__}: {exc}")
+
+
+def _serve(write_fd, jobs, summarize):
+    """Forked child: run `jobs` and send (ok, results or exception) pickled
+    down the pipe.  Every exception, an interrupt too, goes to the parent
+    instead of unwinding into the caller's stack, and the child leaves through
+    os._exit so that no inherited atexit handler or stdio buffer runs twice."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, _run_jobs(jobs, summarize)))
+        except BaseException as exc:
+            payload = pickle.dumps((False, _transportable(exc)))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _unpack(pid, payload):
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:  # nothing or a cut-off payload: the child died
+        raise ChildProcessError(f"closed-loop worker {pid} ended without its results") from None
+    if not ok:
+        raise value
+    return value
+
+
+def run_closed_loops(jobs, summarize=lambda trace: trace) -> list:
+    """Run each (params, controller, profile, seed) job with run_closed_loop
+    and return, in job order, summarize(trace), or the ControllerDivergedError
+    of a loop or summary that diverged.  Any other exception is raised.
+
+    The jobs are dealt round-robin to this process and to one forked child
+    per further CPU it may run on; each child pickles its results back over a
+    pipe.  A loop runs the same arithmetic in any process, so the results do
+    not depend on the number of CPUs.  Children inherit the controllers and
+    `summarize`, so closures work; only what `summarize` returns crosses the
+    pipe.
+    """
+    jobs = list(jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(len(jobs), cpus))
+    results = [None] * len(jobs)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(write_fd, jobs[i::workers], summarize)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results[0::workers] = _run_jobs(jobs[0::workers], summarize)
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    for i, ((pid, _), payload) in enumerate(zip(children, payloads), start=1):
+        results[i::workers] = _unpack(pid, payload)
+    return results
 
 
 # --- controller comparison -------------------------------------------------
@@ -214,15 +318,14 @@ def compare_controllers(
     recorded with its error message and excluded from the medians."""
     if len(controllers) < 2:
         raise ValueError("need at least two controllers to compare")
+    keys = [(name, seed) for name, _ in controllers for seed in seeds]
+    jobs = [(params, controller, profile, seed) for _, controller in controllers for seed in seeds]
     rows = []
-    for name, controller in controllers:
-        for seed in seeds:
-            try:
-                trace = run_closed_loop(params, controller, profile, seed)
-                idx = compute_indices(trace)
-                rows.append(ComparisonRow(name, seed, idx.mean_abs_error, idx.control_effort))
-            except ControllerDivergedError as exc:
-                rows.append(ComparisonRow(name, seed, float("nan"), float("nan"), str(exc)))
+    for (name, seed), idx in zip(keys, run_closed_loops(jobs, compute_indices)):
+        if isinstance(idx, ControllerDivergedError):
+            rows.append(ComparisonRow(name, seed, float("nan"), float("nan"), str(idx)))
+        else:
+            rows.append(ComparisonRow(name, seed, idx.mean_abs_error, idx.control_effort))
     medians = {}
     for name, _ in controllers:
         maes = [r.mean_abs_error for r in rows if r.name == name and r.error is None]

@@ -41,15 +41,22 @@ class AffineScaling:
     def to_unit_range(cls, data: np.ndarray) -> "AffineScaling":
         """Scaling that maps each column of `data` onto [-1, 1].
 
-        Constant columns, and columns whose span is so small (subnormal) that
-        2/span overflows, get gain 1 and are centered at their value.
+        A column whose span is negligible next to its magnitude (at most
+        2**-20 of it), or so small (subnormal) that 2/span overflows, is
+        treated as constant: gain 1, centered at its midpoint.  Its rounded
+        midpoint can be off by half an ulp of the magnitude, which at a span
+        of one ulp would scale the column onto [0, 2].  With gain 1 its scaled
+        values stay within span/2 of 0, inside [-1, 1] for data within
+        +-2**21.
         """
         data = np.asarray(data, dtype=float)
         lo = data.min(axis=0)
         hi = data.max(axis=0)
+        span = hi - lo
         with np.errstate(divide="ignore", over="ignore"):
-            gain = 2.0 / (hi - lo)
-        gain = np.where(np.isfinite(gain), gain, 1.0)
+            gain = 2.0 / span
+        negligible = span <= 2.0**-20 * np.maximum(np.abs(lo), np.abs(hi))
+        gain = np.where(np.isfinite(gain) & ~negligible, gain, 1.0)
         offset = (lo + hi) / 2.0
         return cls(offset, gain)
 

@@ -5,7 +5,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from servoneuro import mlp
 from servoneuro import training as tr

@@ -10,7 +10,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from servoneuro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, NetworkSpec, load_config, main
+from servoneuro import control as ctl
+from servoneuro.cli import (
+    EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, NetworkSpec, load_config, main,
+)
 from servoneuro.experiment import StepExperimentConfig
 from servoneuro.plant import MotorParams
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
@@ -204,6 +207,159 @@ class TestTrainControlCompare:
         net = str(out / "controller.net")
         assert run(["--config", path, "compare", net, "/nope/bad.net"]) == EXIT_CONFIG
         assert "bad.net" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def three_seed_nets(tmp_path_factory):
+    """A FAST_CONFIG evaluated at seeds 0-2, and two networks trained with it."""
+    base = tmp_path_factory.mktemp("three_seeds")
+    text = FAST_CONFIG.replace("OUT", str(base / "out")).replace("[0, 1]", "[0, 1, 2]")
+    path = write_config(base, text)
+    nets = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["--config", path, "collect"]) == EXIT_OK
+        for seed in ("4", "5"):
+            out = base / f"net{seed}"
+            iolog = str(base / "out" / "iolog.csv")
+            assert run(["--config", path, "--seed", seed, "--out", str(out),
+                        "train", "--iolog", iolog]) == EXIT_OK
+            nets.append(str(out / "controller.net"))
+    return path, nets
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestForkedClosedLoops:
+    """control and compare write the same files, output and exit codes
+    whether their closed loops all run in the command's process (one CPU) or
+    are shared with two forked children (three CPUs)."""
+
+    @pytest.mark.parametrize("command", ["control", "oracle", "compare"])
+    def test_outputs_byte_identical(self, three_seed_nets, cpus, tmp_path, capsys, command):
+        path, nets = three_seed_nets
+        args = {"control": ["control", nets[0]], "oracle": ["control", "--oracle"],
+                "compare": ["compare", *nets]}[command]
+        runs = []
+        for n in (1, 3):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            assert run(["--config", path, "--out", str(out), *args]) == EXIT_OK
+            runs.append((_files(out), capsys.readouterr().out.replace(str(out), "OUT")))
+        assert runs[0] == runs[1]
+        names = ["comparison.csv"] if command == "compare" else [
+            "indices.csv", "trace_0.csv", "trace_1.csv", "trace_2.csv"]
+        assert sorted(runs[0][0]) == names
+
+    def test_divergence_at_second_seed_keeps_the_files_before_it(
+        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch
+    ):
+        path, nets = three_seed_nets
+        real = ctl.run_closed_loop
+
+        def run_closed_loop(params, controller, profile, seed):
+            if seed == 1:  # NaN from sample 25 on
+                calls, inner = [0], controller
+
+                def controller(regressor):
+                    calls[0] += 1
+                    return float("nan") if calls[0] > 25 else inner(regressor)
+
+            return real(params, controller, profile, seed)
+
+        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
+        runs = []
+        for n in (1, 3):
+            cpus(n)
+            out = tmp_path / f"cpus{n}"
+            assert run(["--config", path, "--out", str(out), "control", nets[0]]) == EXIT_NUMERIC
+            captured = capsys.readouterr()
+            assert "seed 1: controller output not finite at sample 25" in captured.err
+            assert "Traceback" not in captured.err
+            runs.append((_files(out), captured.out))
+        assert runs[0] == runs[1]
+        files = runs[0][0]
+        assert sorted(files) == ["trace_0.csv", "trace_1.csv"]
+        assert len(files["trace_0.csv"].splitlines()) == 1 + 120
+        assert len(files["trace_1.csv"].splitlines()) == 1 + 25
+
+    @pytest.mark.parametrize("command", ["control", "compare"])
+    @pytest.mark.parametrize("failure", ["raises", "dies"])
+    def test_failure_in_a_child_keeps_the_exit_code_contract(
+        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch, command, failure
+    ):
+        path, nets = three_seed_nets
+        parent = os.getpid()
+        real = ctl.run_closed_loop
+
+        def run_closed_loop(params, controller, profile, seed):
+            if seed == 1 and os.getpid() != parent:
+                if failure == "dies":
+                    os._exit(9)
+                raise OSError("simulated read failure")
+            return real(params, controller, profile, seed)
+
+        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
+        cpus(3)
+        args = ["control", nets[0]] if command == "control" else ["compare", *nets]
+        assert run(["--config", path, "--out", str(tmp_path / "out"), *args]) == EXIT_IO
+        err = capsys.readouterr().err
+        expected = "ended without its results" if failure == "dies" else "simulated read failure"
+        assert "I/O error: " in err and expected in err
+        assert "Traceback" not in err
+
+
+def _constant_net(volts):
+    """A hand-written 5-1 linear network that outputs `volts` for any
+    regressor: zero input weights, unit input and target scaling."""
+    return "\n".join([
+        "servoneuro-net 1", "layers 5 1", "activations linear",
+        "input_offset 0.0 0.0 0.0 0.0 0.0", "input_gain 1.0 1.0 1.0 1.0 1.0",
+        "target_offset 0.0", "target_gain 1.0", "weights 6",
+        "0.0", "0.0", "0.0", "0.0", "0.0", repr(volts),
+    ]) + "\n"
+
+
+# A plant whose output settles near 4e307 V at the 6.5 V actuator limit:
+# finite, but the mean of |r-y| over the trace overflows.
+_HUGE_GAIN_CONFIG = """
+    plant: {gain: 1.0e+307}
+    evaluation:
+      profile: [{level: 1.0, duration: 120}]
+      seeds: [0, 1]
+"""
+
+
+class TestOverflowingIndex:
+    def test_control_exits_3_naming_the_seed(self, tmp_path, capsys):
+        net = tmp_path / "high.net"
+        net.write_text(_constant_net(7.0))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, _HUGE_GAIN_CONFIG)
+        assert run(["--config", path, "--out", str(out), "control", str(net)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "seed 0: performance index not finite: mean_abs_error = inf" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert sorted(_files(out)) == ["trace_0.csv"]
+        y = [float(line.split(",")[2]) for line in (out / "trace_0.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(v) for v in y) and max(y) > 3.9e307
+
+    def test_compare_records_an_error_row(self, tmp_path, capsys):
+        high, low = tmp_path / "high.net", tmp_path / "low.net"
+        high.write_text(_constant_net(7.0))
+        low.write_text(_constant_net(2.0))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, _HUGE_GAIN_CONFIG)
+        assert run(["--config", path, "--out", str(out), "compare", str(high), str(low)]) == EXIT_OK
+        rows = [line.split(",", 4) for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+        for name, _, mae, effort, error in rows:
+            if name == str(high):
+                assert (mae, effort) == ("", "") and "not finite" in error
+            else:
+                assert math.isfinite(float(mae)) and error == ""
+        table = capsys.readouterr().out.splitlines()
+        assert str(low) in table[1] and str(high) in table[2]
 
 
 class TestIoLogBoundary:

@@ -1,9 +1,12 @@
+import os
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from servoneuro import mlp
 from servoneuro.control import (
-    DEFAULT_PROFILE,
     ClosedLoopTrace,
     ControllerDivergedError,
     NeuralController,
@@ -14,6 +17,7 @@ from servoneuro.control import (
     compare_controllers,
     compute_indices,
     run_closed_loop,
+    run_closed_loops,
     trace_to_csv,
 )
 from servoneuro.plant import MotorParams
@@ -26,6 +30,17 @@ def quiet():
 
 
 PROFILE = ReferenceProfile(((1.0, 100), (3.0, 100), (2.0, 100)))
+
+
+def _nan_after(n_samples, controller):
+    """`controller` until it has made n_samples outputs, NaN after that."""
+    calls = [0]
+
+    def control(regressor):
+        calls[0] += 1
+        return float("nan") if calls[0] > n_samples else controller(regressor)
+
+    return control
 
 
 class TestReferenceProfile:
@@ -114,6 +129,104 @@ class TestComputeIndices:
         assert fwd.mean_abs_error == pytest.approx(rev.mean_abs_error, rel=1e-12)
         assert fwd.control_effort == pytest.approx(rev.control_effort, rel=1e-12)
 
+    def test_overflowing_mean_is_a_divergence_without_warning(self):
+        big = np.full(8, 1.0e308)
+        trace = ClosedLoopTrace(np.zeros(8), big, np.full(8, 4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ControllerDivergedError, match="mean_abs_error = inf") as err:
+                compute_indices(trace)
+        assert err.value.trace is trace
+
+
+class TestRunClosedLoops:
+    def test_children_match_in_process_bit_for_bit(self, cpus):
+        params = MotorParams(noise_sigma=0.05)
+        wild = lambda reg: 100.0 * np.sin(reg[0] + reg[3])
+        jobs = [(params, c, PROFILE, seed) for c in (analytic_inverse_controller(params), wild)
+                for seed in range(3)]
+        cpus(1)
+        alone = run_closed_loops(jobs)
+        cpus(3)
+        forked = run_closed_loops(jobs)
+        for a, b in zip(alone, forked, strict=True):
+            for series in ("r", "y", "u"):
+                assert getattr(a, series).tobytes() == getattr(b, series).tobytes()
+
+    def test_jobs_dealt_round_robin_to_this_process_and_a_child_per_cpu(self, quiet, cpus):
+        cpus(3)
+        jobs = [(quiet, lambda reg: 4.0, PROFILE, seed) for seed in range(7)]
+        pids = run_closed_loops(jobs, lambda trace: os.getpid())
+        assert len(set(pids)) == 3 and pids[0] == os.getpid()
+        assert all(pids[i] == pids[i % 3] for i in range(7))
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_divergence_returns_with_its_partial_trace(self, quiet, cpus):
+        cpus(2)
+        oracle = analytic_inverse_controller(quiet)
+        jobs = [(quiet, oracle, PROFILE, 0), (quiet, _nan_after(10, oracle), PROFILE, 1)]
+        trace, diverged = run_closed_loops(jobs)
+        assert len(trace) == len(PROFILE)
+        assert isinstance(diverged, ControllerDivergedError)
+        assert str(diverged) == "controller output not finite at sample 10"
+        assert len(diverged.trace) == 10
+
+    def test_other_exception_in_a_child_reaches_the_caller(self, quiet, cpus):
+        def bad(reg):
+            raise ValueError("bad regressor")
+
+        cpus(2)
+        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
+        with pytest.raises(ValueError, match="bad regressor"):
+            run_closed_loops(jobs)
+        with pytest.raises(ChildProcessError):  # every child reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_exception_in_this_process_stops_the_children(self, quiet, cpus):
+        def bad(reg):
+            raise ValueError("bad regressor")
+
+        def slow(reg, calls=[0]):
+            calls[0] += 1
+            if calls[0] == 1:
+                time.sleep(20)
+            return 4.0
+
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="bad regressor"):
+            run_closed_loops([(quiet, bad, PROFILE, 0), (quiet, slow, PROFILE, 1)])
+        assert time.monotonic() - start < 10  # the child was killed, not awaited
+        with pytest.raises(ChildProcessError):  # and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_exception_is_named(self, quiet, cpus):
+        class NeedsTwo(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} {b}")
+
+        def bad(reg):
+            raise NeedsTwo("left", "right")
+
+        cpus(2)
+        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
+        with pytest.raises(ChildProcessError, match="NeedsTwo: left right"):
+            run_closed_loops(jobs)
+
+    def test_child_that_dies_is_an_error(self, quiet, cpus):
+        parent = os.getpid()
+
+        def die(reg):
+            if os.getpid() == parent:  # never end the test process itself
+                raise AssertionError("job ran in the parent")
+            os._exit(7)
+
+        cpus(2)
+        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, die, PROFILE, 1)]
+        with pytest.raises(ChildProcessError, match="ended without its results"):
+            run_closed_loops(jobs)
+
 
 class TestCompareControllers:
     def test_identical_controllers_identical_rows(self, quiet):
@@ -142,6 +255,27 @@ class TestCompareControllers:
         broken_rows = [r for r in report.rows if r.name == "broken"]
         assert broken_rows[0].error is not None
         assert report.ranking[0] == "oracle"
+
+    def test_forked_report_equals_in_process(self, quiet, cpus):
+        controllers = [("constant", lambda reg: 4.0),
+                       ("oracle", analytic_inverse_controller(quiet))]
+        reports = []
+        for n in (1, 3):
+            cpus(n)
+            reports.append(compare_controllers(quiet, controllers, PROFILE, seeds=[0, 1, 2]))
+        assert reports[0].rows == reports[1].rows
+        assert reports[0].medians == reports[1].medians
+
+    def test_overflowing_index_is_an_error_row(self, cpus):
+        params = MotorParams(gain=1.0e307)
+        cpus(2)
+        report = compare_controllers(
+            params, [("high", lambda reg: 7.0), ("low", lambda reg: 2.0)], PROFILE, seeds=[0, 1]
+        )
+        high = [r for r in report.rows if r.name == "high"]
+        assert all("not finite" in r.error for r in high)
+        assert report.medians["high"] == (float("inf"), float("inf"))
+        assert report.ranking == ["low", "high"]
 
     def test_needs_two_controllers(self, quiet):
         with pytest.raises(ValueError):

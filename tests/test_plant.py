@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from servoneuro.plant import MotorParams, PlantState, make_state, static_map, steady_state, step
+from servoneuro.plant import MotorParams, make_state, static_map, steady_state, step
 
 
 @pytest.fixture

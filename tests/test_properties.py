@@ -39,6 +39,8 @@ def test_static_map_monotone(u1, u2):
 )
 @settings(max_examples=50)
 @example(data=[[0.0, 0.0, 0.0], [0.0, 0.0, 5e-324]])  # subnormal span
+@example(data=[[0.0, 0.0, -1000.0], [0.0, 0.0, -999.9999999999999]])  # one-ulp span
+@example(data=[[0.0, 0.0, -1000.0], [0.0, 0.0, -999.9999999999997]])  # three-ulp span
 def test_unit_range_scaling_round_trips(data):
     arr = np.array(data)
     scaling = AffineScaling.to_unit_range(arr)
