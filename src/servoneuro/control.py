@@ -229,7 +229,7 @@ def _unpack(pid, payload):
     return value
 
 
-def run_closed_loops(jobs, summarize=lambda trace: trace) -> list:
+def run_closed_loops(jobs, summarize) -> list:
     """Run each (params, controller, profile, seed) job with run_closed_loop
     and return, in job order, summarize(trace), or the ControllerDivergedError
     of a loop or summary that diverged.  Any other exception is raised.

@@ -52,8 +52,8 @@ class AffineScaling:
         data = np.asarray(data, dtype=float)
         lo = data.min(axis=0)
         hi = data.max(axis=0)
-        span = hi - lo
         with np.errstate(divide="ignore", over="ignore"):
+            span = hi - lo
             gain = 2.0 / span
         negligible = span <= 2.0**-20 * np.maximum(np.abs(lo), np.abs(hi))
         gain = np.where(np.isfinite(gain) & ~negligible, gain, 1.0)

@@ -32,6 +32,10 @@ def quiet():
 PROFILE = ReferenceProfile(((1.0, 100), (3.0, 100), (2.0, 100)))
 
 
+def _keep(trace):
+    return trace
+
+
 def _nan_after(n_samples, controller):
     """`controller` until it has made n_samples outputs, NaN after that."""
     calls = [0]
@@ -146,9 +150,9 @@ class TestRunClosedLoops:
         jobs = [(params, c, PROFILE, seed) for c in (analytic_inverse_controller(params), wild)
                 for seed in range(3)]
         cpus(1)
-        alone = run_closed_loops(jobs)
+        alone = run_closed_loops(jobs, _keep)
         cpus(3)
-        forked = run_closed_loops(jobs)
+        forked = run_closed_loops(jobs, _keep)
         for a, b in zip(alone, forked, strict=True):
             for series in ("r", "y", "u"):
                 assert getattr(a, series).tobytes() == getattr(b, series).tobytes()
@@ -166,7 +170,7 @@ class TestRunClosedLoops:
         cpus(2)
         oracle = analytic_inverse_controller(quiet)
         jobs = [(quiet, oracle, PROFILE, 0), (quiet, _nan_after(10, oracle), PROFILE, 1)]
-        trace, diverged = run_closed_loops(jobs)
+        trace, diverged = run_closed_loops(jobs, _keep)
         assert len(trace) == len(PROFILE)
         assert isinstance(diverged, ControllerDivergedError)
         assert str(diverged) == "controller output not finite at sample 10"
@@ -179,7 +183,7 @@ class TestRunClosedLoops:
         cpus(2)
         jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
         with pytest.raises(ValueError, match="bad regressor"):
-            run_closed_loops(jobs)
+            run_closed_loops(jobs, _keep)
         with pytest.raises(ChildProcessError):  # every child reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -196,7 +200,7 @@ class TestRunClosedLoops:
         cpus(2)
         start = time.monotonic()
         with pytest.raises(ValueError, match="bad regressor"):
-            run_closed_loops([(quiet, bad, PROFILE, 0), (quiet, slow, PROFILE, 1)])
+            run_closed_loops([(quiet, bad, PROFILE, 0), (quiet, slow, PROFILE, 1)], _keep)
         assert time.monotonic() - start < 10  # the child was killed, not awaited
         with pytest.raises(ChildProcessError):  # and reaped
             os.waitpid(-1, os.WNOHANG)
@@ -212,7 +216,7 @@ class TestRunClosedLoops:
         cpus(2)
         jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
         with pytest.raises(ChildProcessError, match="NeedsTwo: left right"):
-            run_closed_loops(jobs)
+            run_closed_loops(jobs, _keep)
 
     def test_child_that_dies_is_an_error(self, quiet, cpus):
         parent = os.getpid()
@@ -225,7 +229,7 @@ class TestRunClosedLoops:
         cpus(2)
         jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, die, PROFILE, 1)]
         with pytest.raises(ChildProcessError, match="ended without its results"):
-            run_closed_loops(jobs)
+            run_closed_loops(jobs, _keep)
 
 
 class TestCompareControllers:
