@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from . import control as ctl
 from . import experiment as exp
 from . import mlp
@@ -191,6 +189,8 @@ def load_config(path=None) -> WorkbenchConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except ValueError as exc:  # not UTF-8
             raise ConfigError(f"cannot decode config file: {exc}") from exc
+        import yaml  # here, not at the top: it is a fifth of `import servoneuro.cli`
+
         try:
             raw = yaml.safe_load(text) or {}
         except yaml.YAMLError as exc:

@@ -339,10 +339,8 @@ def compare_controllers(
 
 
 def trace_to_csv(trace: ClosedLoopTrace, path):
+    # the rows csv.writer would write: a float's repr never needs quoting
+    rows = zip(trace.r.tolist(), trace.y.tolist(), trace.u.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "r", "y", "u"])
-        for k in range(len(trace)):
-            writer.writerow(
-                [k, repr(float(trace.r[k])), repr(float(trace.y[k])), repr(float(trace.u[k]))]
-            )
+        fh.write("k,r,y,u\r\n")
+        fh.writelines(f"{k},{r!r},{y!r},{u!r}\r\n" for k, (r, y, u) in enumerate(rows))

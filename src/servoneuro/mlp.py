@@ -119,38 +119,50 @@ def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwor
     return MlpNetwork(layer_sizes, activations, w)
 
 
-def _propagate(net: MlpNetwork, a: np.ndarray, ndim: int) -> np.ndarray:
-    """Run `a` (one pattern, or one per row) through every layer."""
+def _propagate(net: MlpNetwork, a: np.ndarray, ndim: int) -> list:
+    """Run `a` (one pattern, or one per row) through every layer; returns `a`
+    followed by each layer's activations."""
     if a.ndim != ndim or a.shape[-1] != net.input_width:
         raise ArchitectureError(
             f"input of shape {a.shape} does not match network input width "
             f"{net.input_width}"
         )
+    acts = [a]
     for WT, b, is_tanh in net._views:
         a = a @ WT + b
         if is_tanh:
             a = np.tanh(a)
-    return a
+        acts.append(a)
+    return acts
+
+
+def forward_layers(net: MlpNetwork, inputs: np.ndarray) -> list:
+    """Evaluate the network on a (P, n_in) matrix; returns the inputs followed
+    by every layer's (P, n_i) activations, the last being `forward_batch`'s."""
+    return _propagate(net, np.asarray(inputs, dtype=float), 2)
 
 
 def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a (P, n_in) matrix; returns (P, n_out)."""
-    return _propagate(net, np.asarray(inputs, dtype=float), 2)
+    return forward_layers(net, inputs)[-1]
 
 
 def forward(net: MlpNetwork, x) -> float:
     """Single-pattern evaluation of a length-n_in vector; returns a scalar for
     a one-output network.  tests/test_properties.py checks that it rounds
     exactly like the pattern's row in `forward_batch`."""
-    out = _propagate(net, np.asarray(x, dtype=float), 1)
+    out = _propagate(net, np.asarray(x, dtype=float), 1)[-1]
     return float(out[0]) if net.output_width == 1 else out
 
 
-def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
+                   activations=None, out=None) -> np.ndarray:
     """Analytic Jacobian of the per-pattern errors e_p = d_p - y_p.
 
     Row p holds de_p/dw over the flat weight vector.  Single-output
-    networks only (one error per pattern).
+    networks only (one error per pattern).  `activations`, when given, must
+    be `forward_layers(net, inputs)` and saves that pass; `out`, when given,
+    is a C-contiguous (P, n_weights) array that receives J and is returned.
     """
     if net.output_width != 1:
         raise ArchitectureError("error_jacobian supports single-output networks")
@@ -162,44 +174,42 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray) -> 
         raise ValueError("empty dataset")
     if targets.shape[0] != X.shape[0]:
         raise ValueError("inputs and targets disagree on pattern count")
+    P, N = X.shape[0], net.n_weights
+    if out is None:
+        out = np.empty((P, N))
+    elif out.shape != (P, N) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {(P, N)}")
 
     views = net._views
-    acts = [X]
-    for WT, b, is_tanh in views:
-        a = acts[-1] @ WT + b
-        acts.append(np.tanh(a) if is_tanh else a)
-
-    P = X.shape[0]
+    acts = forward_layers(net, X) if activations is None else activations
     # dy/dz for the output layer
     if views[-1][2]:
         delta = 1.0 - acts[-1] ** 2
     else:
         delta = np.ones((P, 1))
 
-    # Each layer's block is written in place, negated through -delta (exact:
-    # -(d*a) == (-d)*a), looping over the shorter of fan-in and fan-out.
-    J = np.empty((P, net.n_weights))
-    end = net.n_weights
+    # J is built transposed, pattern axis inner, so each layer's weight block
+    # is one contiguous broadcast product; one transposed copy then fills the
+    # pattern-major `out`.  Every entry is the single product (-d)*a, which
+    # equals -(d*a) exactly, so J and every product formed from it are
+    # unchanged by the layout.
+    JT = np.empty((N, P))
+    end = N
     for layer in range(len(views) - 1, -1, -1):
         WT = views[layer][0]
         fi, fo = WT.shape
         start = end - (fi + 1) * fo
-        block = J[:, start:end].reshape(P, fo, fi + 1)
-        a_prev, neg = acts[layer], -delta
-        if fi <= fo:
-            for i in range(fi):
-                np.multiply(neg, a_prev[:, i : i + 1], out=block[:, :, i])
-        else:
-            for o in range(fo):
-                np.multiply(neg[:, o : o + 1], a_prev, out=block[:, o, :fi])
-        block[:, :, fi] = neg
+        block = JT[start:end].reshape(fo, fi + 1, P)
+        neg = block[:, fi, :]  # the bias entries, -delta per neuron
+        np.negative(delta.T, out=neg)
+        np.multiply(neg[:, None, :], acts[layer].T.copy(), out=block[:, :fi, :])
         if layer > 0:
-            back = delta @ WT.T
+            delta = delta @ WT.T
             if views[layer - 1][2]:
-                back = back * (1.0 - acts[layer] ** 2)
-            delta = back
+                delta *= 1.0 - acts[layer] ** 2
         end = start
-    return J
+    np.copyto(out, JT.T)
+    return out
 
 
 # --- serialization ---------------------------------------------------------

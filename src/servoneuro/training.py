@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mlp import MlpNetwork, error_jacobian, forward_batch
+from .mlp import MlpNetwork, error_jacobian, forward_batch, forward_layers
 from .scaling import AffineScaling
 
 _TINY = 1e-30
@@ -183,13 +183,9 @@ class TrainReport:
 # --- error functionals -----------------------------------------------------
 
 
-def _residual(net, X, D):
-    return (D - forward_batch(net, X)).ravel()
-
-
 def _ed(net, X, D):
     """(1/2P) sum of squared residuals of `net` on scaled patterns X, D."""
-    e = _residual(net, X, D)
+    e = (D - forward_batch(net, X)).ravel()
     return float(np.dot(e, e) / (2.0 * X.shape[0]))
 
 
@@ -252,7 +248,8 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     w = net.weights.copy()
     lam = lm.lambda_init
     records = []
-    e = _residual(net, X, D)
+    acts = forward_layers(net, X)
+    e = (D - acts[-1]).ravel()
     sse, ww = float(np.dot(e, e)), float(np.dot(w, w))
     if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError(
@@ -261,8 +258,13 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
 
     stop = StopReason.MAX_EPOCHS
     gamma = None
+    # One J for the whole run: a fresh one per epoch sits next to the
+    # Jacobian's transposed scratch (one more J of peak memory), and freeing
+    # it between epochs lets the allocator return and re-fault the pages.
+    J = np.empty((P, net.n_weights))
     for epoch in range(1, lm.max_epochs + 1):
-        J = error_jacobian(net.with_weights(w), X, D)
+        # acts are the accepted weights' activations, so J needs no forward pass
+        error_jacobian(net.with_weights(w), X, D, acts, J)
         JtJ, Jte = J.T @ J, J.T @ e
         system = None
         while True:
@@ -275,7 +277,8 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
                     scale = alpha / norm
                     system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * w
                 w_cand = w + _solve_step(*system, lam)
-                e_cand = _residual(net.with_weights(w_cand), X, D)
+                acts_cand = forward_layers(net.with_weights(w_cand), X)
+                e_cand = (D - acts_cand[-1]).ravel()
                 sse_cand = float(np.dot(e_cand, e_cand))
                 ww_cand = float(np.dot(w_cand, w_cand))
                 f_cand = objective(sse_cand, ww_cand)
@@ -283,7 +286,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
             except (StepFailedError, np.linalg.LinAlgError):
                 ok = False
             if ok:
-                w, e, sse, ww, f = w_cand, e_cand, sse_cand, ww_cand, f_cand
+                w, acts, e, sse, ww, f = w_cand, acts_cand, e_cand, sse_cand, ww_cand, f_cand
                 lam = max(lam * lm.lambda_decrease, _TINY)
                 break
             lam *= lm.lambda_increase

@@ -1,3 +1,4 @@
+import csv
 import os
 import time
 import warnings
@@ -294,6 +295,18 @@ class TestCsvExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,r,y,u"
         assert len(lines) == len(trace) + 1
+
+    def test_trace_csv_is_what_csv_writer_writes(self, tmp_path):
+        values = [0.0, -0.0, 1e-300, 5e-324, -2.5, 1 / 3, 1e300, np.inf, -np.inf, np.nan]
+        trace = ClosedLoopTrace(values, values[::-1], values[3:] + values[:3])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "r", "y", "u"])
+            for k in range(len(trace)):
+                writer.writerow([k, *(repr(float(s[k])) for s in (trace.r, trace.y, trace.u))])
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == expected.read_bytes()
 
     def test_comparison_csv_row_count(self, quiet, tmp_path):
         oracle = analytic_inverse_controller(quiet)

@@ -141,6 +141,13 @@ class TestErrorJacobian:
         with pytest.raises(ValueError):
             mlp.error_jacobian(net, np.empty((0, 5)), np.empty((0, 1)))
 
+    def test_out_must_be_a_c_contiguous_buffer_of_j_shape(self):
+        net = mlp.init_weights([5, 8, 1], ["tanh", "linear"], seed=1, scale=0.5)
+        X = np.random.default_rng(4).normal(size=(4, 5))
+        for bad in (np.empty((4, net.n_weights + 1)), np.empty((4, net.n_weights), order="F")):
+            with pytest.raises(ValueError, match="out must be"):
+                mlp.error_jacobian(net, X, np.zeros((4, 1)), out=bad)
+
     def test_two_hidden_layers(self):
         rng = np.random.default_rng(9)
         net = mlp.init_weights([3, 6, 4, 1], ["tanh", "tanh", "linear"], seed=9, scale=0.6)

@@ -150,6 +150,27 @@ def test_error_jacobian_matches_concatenated_form_bit_for_bit(net, n_patterns, s
     assert _bits(J) == _bits(_concatenated_error_jacobian(net, X))
 
 
+@given(
+    net=networks(output_width=1),
+    n_patterns=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.integers(-3, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_error_jacobian_with_given_activations_and_buffer_bit_for_bit(
+    net, n_patterns, seed, log_scale
+):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
+    D = rng.normal(size=(n_patterns, 1))
+    acts = mlp.forward_layers(net, X)
+    assert _bits(acts[-1]) == _bits(mlp.forward_batch(net, X))
+    buf = np.full((n_patterns, net.n_weights), np.nan)
+    J = mlp.error_jacobian(net, X, D, activations=acts, out=buf)
+    assert J is buf
+    assert _bits(J) == _bits(mlp.error_jacobian(net, X, D))
+
+
 @given(net=networks(), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_with_weights_matches_constructor(net, seed):

@@ -73,6 +73,31 @@ class TestErrorFunctionals:
         w = trained.weights
         assert rec.ew == w @ w
 
+    @pytest.mark.parametrize("algorithm", ["lm", "br", "early_stop"])
+    def test_one_jacobian_per_epoch_into_one_buffer(self, algorithm, monkeypatch):
+        # the bench traces error_jacobian through this module global
+        calls = []
+
+        def spy(net, X, D, activations, out):
+            # the reused activations are those of the weights J is taken at
+            assert np.array_equal(activations[-1], mlp.forward_batch(net, X))
+            calls.append(out)
+            return mlp.error_jacobian(net, X, D, activations, out)
+
+        monkeypatch.setattr(tr, "error_jacobian", spy)
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        lm = LmConfig(max_epochs=12)
+        train, cfg = {
+            "lm": (train_lm, lm),
+            "br": (train_br, BrConfig(lm=lm)),
+            "early_stop": (train_early_stopping, EarlyStopConfig(lm=lm, patience=2)),
+        }[algorithm]
+        _, report = train(net, ds, cfg)
+        assert report.stop_reason is not StopReason.LAMBDA_OVERFLOW
+        assert len(calls) == len(report.records) > 1
+        assert all(out is calls[0] for out in calls[1:])
+
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
     def test_er_of_one_br_epoch(self, alpha, beta):
         # E_R = alpha*sum(e^2)/2 + beta*E_W; epoch 1 keeps the initial strengths
