@@ -152,7 +152,7 @@ def _build_trainer(mapping):
 
 def _build_evaluation(mapping):
     _check_keys(mapping, ("profile", "seeds"), "evaluation")
-    profile = ctl.DEFAULT_PROFILE
+    kwargs = {}
     if "profile" in mapping:
         if not isinstance(mapping["profile"], list):
             raise ConfigError("evaluation.profile must be a list of {level, duration} mappings")
@@ -168,16 +168,28 @@ def _build_evaluation(mapping):
                     f"evaluation.profile[{i}] needs numeric 'level' and 'duration'"
                 ) from exc
         try:
-            profile = ctl.ReferenceProfile(tuple(steps))
+            kwargs["profile"] = ctl.ReferenceProfile(tuple(steps))
         except ValueError as exc:
             raise ConfigError(f"invalid evaluation.profile: {exc}") from exc
-    seeds = mapping.get("seeds", list(range(10)))
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"evaluation.seeds must be a nonempty list of seeds, got {seeds!r}")
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"evaluation.seeds: {seed!r} is not a nonnegative integer")
-    return EvaluationSpec(profile, tuple(seeds))
+    if "seeds" in mapping:
+        seeds = mapping["seeds"]
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError(f"evaluation.seeds must be a nonempty list of seeds, got {seeds!r}")
+        for seed in seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ConfigError(f"evaluation.seeds: {seed!r} is not a nonnegative integer")
+        kwargs["seeds"] = tuple(seeds)
+    return EvaluationSpec(**kwargs)
+
+
+# Builders of the config file's sections; output_dir is the one plain value.
+_SECTIONS = {
+    "plant": lambda m: _build_dataclass(MotorParams, m, "plant"),
+    "experiment": lambda m: _build_dataclass(exp.StepExperimentConfig, m, "experiment"),
+    "network": lambda m: _build_dataclass(NetworkSpec, m, "network"),
+    "trainer": _build_trainer,
+    "evaluation": _build_evaluation,
+}
 
 
 def load_config(path=None) -> WorkbenchConfig:
@@ -197,29 +209,18 @@ def load_config(path=None) -> WorkbenchConfig:
             raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping at top level")
-    _check_keys(
-        raw,
-        ("plant", "experiment", "network", "trainer", "evaluation", "output_dir"),
-        "config",
-    )
-    sections = {}
-    for name in ("plant", "experiment", "network", "trainer", "evaluation"):
-        sections[name] = raw.get(name, {})
-        if not isinstance(sections[name], dict):
-            raise ConfigError(f"section '{name}' must be a mapping, got {sections[name]!r}")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
-    return WorkbenchConfig(
-        plant=_build_dataclass(MotorParams, sections["plant"], "plant"),
-        experiment=_build_dataclass(
-            exp.StepExperimentConfig, sections["experiment"], "experiment"
-        ),
-        network=_build_dataclass(NetworkSpec, sections["network"], "network"),
-        trainer=_build_trainer(sections["trainer"]),
-        evaluation=_build_evaluation(sections["evaluation"]),
-        output_dir=output_dir,
-    )
+    _check_keys(raw, [*_SECTIONS, "output_dir"], "config")
+    kwargs = {}  # an absent key takes the WorkbenchConfig default
+    for name, value in raw.items():
+        if name == "output_dir":
+            if not isinstance(value, str):
+                raise ConfigError(f"'output_dir' must be a string, got {value!r}")
+            kwargs[name] = value
+        elif not isinstance(value, dict):
+            raise ConfigError(f"section '{name}' must be a mapping, got {value!r}")
+        else:
+            kwargs[name] = _SECTIONS[name](value)
+    return WorkbenchConfig(**kwargs)
 
 
 def _apply_overrides(config, args) -> WorkbenchConfig:

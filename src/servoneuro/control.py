@@ -10,7 +10,7 @@ import os
 import pickle
 import signal
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -274,10 +274,11 @@ def run_closed_loops(jobs, summarize) -> list:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    # field order is column order in comparison.csv; a failed run's indices are None
     name: str
     seed: int
-    mean_abs_error: float
-    control_effort: float
+    mean_abs_error: Optional[float]
+    control_effort: Optional[float]
     error: Optional[str] = None
 
 
@@ -291,16 +292,7 @@ class ComparisonReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["controller", "seed", "mean_abs_error", "control_effort", "error"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.name,
-                        row.seed,
-                        "" if np.isnan(row.mean_abs_error) else repr(row.mean_abs_error),
-                        "" if np.isnan(row.control_effort) else repr(row.control_effort),
-                        row.error or "",
-                    ]
-                )
+            writer.writerows(astuple(row) for row in self.rows)
 
     def format_table(self) -> str:
         lines = [f"{'rank':<5} {'controller':<30} {'median |r-y|':>14} {'median |u|':>12}"]
@@ -323,7 +315,7 @@ def compare_controllers(
     rows = []
     for (name, seed), idx in zip(keys, run_closed_loops(jobs, compute_indices)):
         if isinstance(idx, ControllerDivergedError):
-            rows.append(ComparisonRow(name, seed, float("nan"), float("nan"), str(idx)))
+            rows.append(ComparisonRow(name, seed, None, None, str(idx)))
         else:
             rows.append(ComparisonRow(name, seed, idx.mean_abs_error, idx.control_effort))
     medians = {}

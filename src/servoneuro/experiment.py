@@ -110,8 +110,7 @@ def save_iolog(log: IoLog, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "u", "y"])
-        for k in range(len(log)):
-            writer.writerow([k, repr(float(log.u[k])), repr(float(log.y[k]))])
+        writer.writerows(zip(range(len(log)), log.u.tolist(), log.y.tolist()))
 
 
 def load_iolog(path) -> IoLog:

@@ -21,10 +21,6 @@ _HYPER_LO = 1e-12
 _HYPER_HI = 1e12
 
 
-class StepFailedError(RuntimeError):
-    """The damped linear system could not be solved; caller should raise lambda."""
-
-
 class TrainingDivergedError(RuntimeError):
     """Non-finite loss; carries the partial report accumulated so far."""
 
@@ -142,6 +138,7 @@ class StopReason(Enum):
 
 @dataclass
 class EpochRecord:
+    # field order is column order in train_report.csv; None is a blank cell
     epoch: int
     ed: float
     ew: float
@@ -164,20 +161,7 @@ class TrainReport:
             writer.writerow(
                 ["epoch", "E_D", "E_W", "E_R", "lambda", "alpha", "beta", "gamma", "val_ED"]
             )
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        repr(r.ed),
-                        repr(r.ew),
-                        repr(r.er),
-                        repr(r.lam),
-                        "" if r.alpha is None else repr(r.alpha),
-                        "" if r.beta is None else repr(r.beta),
-                        "" if r.gamma is None else repr(r.gamma),
-                        "" if r.val_ed is None else repr(r.val_ed),
-                    ]
-                )
+            writer.writerows(dataclasses.astuple(r) for r in self.records)
 
 
 # --- error functionals -----------------------------------------------------
@@ -211,13 +195,11 @@ def _damped(H, lam):
 
 
 def _solve_step(H, G, lam):
-    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step."""
-    try:
-        delta = np.linalg.solve(_damped(H, lam), -G)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailedError(str(exc)) from exc
+    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step.  A
+    singular system or a non-finite step raises LinAlgError."""
+    delta = np.linalg.solve(_damped(H, lam), -G)
     if not np.all(np.isfinite(delta)):
-        raise StepFailedError("non-finite step")
+        raise np.linalg.LinAlgError("non-finite step")
     return delta
 
 
@@ -244,13 +226,17 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     def objective(sse, ww):  # with alpha and beta as re-estimated so far
         return alpha * (sse / (2.0 * norm)) + beta * ww
 
+    def losses(w, acts):  # (e, sse, ww); an overflow is inf, which callers check
+        e = (D - acts[-1]).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return e, float(np.dot(e, e)), float(np.dot(w, w))
+
     P = X.shape[0]
     w = net.weights.copy()
     lam = lm.lambda_init
     records = []
     acts = forward_layers(net, X)
-    e = (D - acts[-1]).ravel()
-    sse, ww = float(np.dot(e, e)), float(np.dot(w, w))
+    e, sse, ww = losses(w, acts)
     if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError(
             "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS)
@@ -278,12 +264,10 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
                     system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * w
                 w_cand = w + _solve_step(*system, lam)
                 acts_cand = forward_layers(net.with_weights(w_cand), X)
-                e_cand = (D - acts_cand[-1]).ravel()
-                sse_cand = float(np.dot(e_cand, e_cand))
-                ww_cand = float(np.dot(w_cand, w_cand))
+                e_cand, sse_cand, ww_cand = losses(w_cand, acts_cand)
                 f_cand = objective(sse_cand, ww_cand)
                 ok = np.isfinite(f_cand) and f_cand < f
-            except (StepFailedError, np.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 ok = False
             if ok:
                 w, acts, e, sse, ww, f = w_cand, acts_cand, e_cand, sse_cand, ww_cand, f_cand

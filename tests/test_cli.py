@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from servoneuro import control as ctl
 from servoneuro.cli import (
-    EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, NetworkSpec, load_config, main,
+    EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, NetworkSpec, WorkbenchConfig, load_config, main,
 )
 from servoneuro.experiment import StepExperimentConfig
 from servoneuro.plant import MotorParams
@@ -58,6 +58,12 @@ class TestConfigLoading:
         assert config.plant.dead_zone == 2.5
         assert config.network.layer_sizes == (5, 10, 1)
         assert config.trainer.algorithm == "lm"
+        assert config == WorkbenchConfig()
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        config = load_config(write_config(tmp_path, "evaluation: {seeds: [3]}\n"))
+        assert config.evaluation.seeds == (3,)
+        assert config.evaluation.profile == ctl.DEFAULT_PROFILE
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "plant:\n  dead_zne: 2.5\n")
@@ -166,6 +172,18 @@ class TestTrainControlCompare:
         lines = (tmp_path / "out" / "train_report.csv").read_text().splitlines()
         fields = lines[1].split(",")
         assert fields[5] != "" and fields[6] != "" and fields[7] != ""
+
+    def test_overflowing_initial_loss_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, f"""
+            network: {{init_scale: 1.0e+300}}
+            experiment: {{num_steps: 2, dwell_samples: 5}}
+            output_dir: {tmp_path / 'out'}
+        """)
+        assert run(["--config", path, "collect"]) == EXIT_OK
+        assert run(["--config", path, "train"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "initial loss is not finite" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_control_oracle_flag(self, fast_config):
         path, out = fast_config

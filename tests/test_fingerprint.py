@@ -19,8 +19,12 @@ from servoneuro.cli import main
 from servoneuro.experiment import StepExperimentConfig, build_inverse_dataset, run_step_experiment
 from servoneuro.plant import MotorParams
 
+# `collect` on the zero-config plant, the same log for every trainer
+IOLOG = "7b1d0c6c2c8d698ecc15c0fe210b2d6a00dbadc4c143427230fb415488e998b4"
+
 CLI_ARTIFACTS = {
     "lm": {
+        "iolog.csv": IOLOG,
         "controller.net": "a72850ec11fb63e2c7be731022a6c5d4fc84ec9ff7544629b56248cab9b55d40",
         "train_report.csv": "2fc8f2e67c284e2903daae16410f011b2168bb78e1cdd9153d4afc2876941c72",
         "indices.csv": "42a2bffc9756d2b3abc7f89aac66d45eda99d8b9aacbae817704596f28fbbc19",
@@ -28,6 +32,7 @@ CLI_ARTIFACTS = {
         "trace_1.csv": "855f9475d3befc5819b4250bc679af30ea97c636a3a5851c72ba00431a273ddd",
     },
     "br": {
+        "iolog.csv": IOLOG,
         "controller.net": "5c42cc5857cee13cfff0820d472ce6f50c2c8bd396960d7822371b640ad292ba",
         "train_report.csv": "678405f2bed73a5f8672ac451dc170f18cefac2ae3b4c4d3522661583d4381c7",
         "indices.csv": "2fa99d2dbb344504b6a606a0b0a9dfe9e1c3007d1ccc33d8f885589d449f2722",
@@ -35,6 +40,7 @@ CLI_ARTIFACTS = {
         "trace_1.csv": "b69353e2028356d6bc640caa5120f94819635ff6bd72079f7aaa082f5aeace4e",
     },
     "early_stop": {
+        "iolog.csv": IOLOG,
         "controller.net": "758e1bcaca959dd6ee0a5d8a0dac3004f900e6f4b18e8789d284e1fa0b2eeaf4",
         "train_report.csv": "3910ead7aeafe65905a5173b126dd67378659f34d650f70620543111e6b8339c",
         "indices.csv": "6f1ea28ca58710b61b2b7eec19881bb8bfb957b72e49d5e297666a913f6dc685",
