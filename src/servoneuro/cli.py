@@ -112,6 +112,14 @@ def _field_names(cls):
     return [f.name for f in dataclasses.fields(cls)]
 
 
+def _check_type(value, kind, name):
+    """Raise a ConfigError naming `name` unless `value` has the declared
+    field type `kind` (int, float or tuple; other kinds are not checked)."""
+    accepted = _FIELD_TYPES.get(kind)
+    if accepted is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
+        raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
+
+
 def _build_dataclass(cls, mapping, section):
     """Build `cls` from a config mapping, checking each value against its
     field's declared type (int, float or tuple) before the class's own checks."""
@@ -120,13 +128,11 @@ def _build_dataclass(cls, mapping, section):
     kwargs = {}
     for name, value in mapping.items():
         kind = declared[name]
-        accepted = _FIELD_TYPES.get(kind)
-        if accepted is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ConfigError(f"'{section}.{name}' must be {kind}, got {value!r}")
+        _check_type(value, kind, f"{section}.{name}")
         kwargs[name] = tuple(value) if kind == "tuple" else value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
         raise ConfigError(f"invalid '{section}' configuration: {exc}") from exc
 
 
@@ -160,16 +166,16 @@ def _build_evaluation(mapping):
         for i, entry in enumerate(mapping["profile"]):
             if not isinstance(entry, dict):
                 raise ConfigError("evaluation.profile entries must be mappings")
-            _check_keys(entry, ("level", "duration"), f"evaluation.profile[{i}]")
-            try:
-                steps.append((float(entry["level"]), int(entry["duration"])))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(
-                    f"evaluation.profile[{i}] needs numeric 'level' and 'duration'"
-                ) from exc
+            where = f"evaluation.profile[{i}]"
+            _check_keys(entry, ("level", "duration"), where)
+            if "level" not in entry or "duration" not in entry:
+                raise ConfigError(f"{where} needs numeric 'level' and 'duration'")
+            _check_type(entry["level"], "float", f"{where}.level")
+            _check_type(entry["duration"], "int", f"{where}.duration")
+            steps.append((entry["level"], entry["duration"]))
         try:
             kwargs["profile"] = ctl.ReferenceProfile(tuple(steps))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past float
             raise ConfigError(f"invalid evaluation.profile: {exc}") from exc
     if "seeds" in mapping:
         seeds = mapping["seeds"]

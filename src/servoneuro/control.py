@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mlp import MlpNetwork, forward
-from .plant import MotorParams, make_state, step
+from .plant import MotorParams, advance, step  # noqa: F401  (step: a bench/tracer.py target)
 from .scaling import AffineScaling
 
 # Valid actuation band; controller outputs are clamped here before application.
@@ -106,12 +106,19 @@ class NeuralController:
             raise ValueError(f"inverse controller network must have {REGRESSOR_WIDTH} inputs")
         if self.net.output_width != 1:
             raise ValueError("inverse controller network must have 1 output")
-        # target_scaling.invert on one value, as Python floats (same IEEE bits)
+        # input_scaling.apply and target_scaling.invert as Python floats: the
+        # same IEEE operations, so the same bits, without small-array calls
+        object.__setattr__(self, "_in_offset", tuple(self.input_scaling.offset.tolist()))
+        object.__setattr__(self, "_in_gain", tuple(self.input_scaling.gain.tolist()))
         object.__setattr__(self, "_out_gain", float(self.target_scaling.gain[0]))
         object.__setattr__(self, "_out_offset", float(self.target_scaling.offset[0]))
 
-    def __call__(self, regressor: np.ndarray) -> float:
-        scaled = self.input_scaling.apply(regressor)
+    def __call__(self, regressor) -> float:
+        r, y, y1, u1, u2 = regressor
+        o0, o1, o2, o3, o4 = self._in_offset
+        g0, g1, g2, g3, g4 = self._in_gain
+        scaled = np.array([(r - o0) * g0, (y - o1) * g1, (y1 - o2) * g2,
+                           (u1 - o3) * g3, (u2 - o4) * g4])
         out = forward(self.net, scaled)
         return out / self._out_gain + self._out_offset
 
@@ -137,25 +144,32 @@ def run_closed_loop(
 ) -> ClosedLoopTrace:
     """Feed the controller's (clamped) output to the plant sample by sample.
 
-    Regressor is [r(k), y(k), y(k-1), u(k-1), u(k-2)] in raw volts; history
-    starts quiescent (y lags at the initial output, u lags at the dead-zone
-    floor).  y(k) in the trace is the measured response to u(k).
+    The controller gets the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] as
+    a sequence of five floats in raw volts and returns u(k).  History starts
+    quiescent (y lags at the initial output, u lags at the dead-zone floor).
+    y(k) in the trace is the measured response to u(k).  The loop advances
+    the plant as `plant.step` does, with its noise drawn in one call: the
+    same numbers, bit for bit, as one `step` per sample from
+    `make_state(seed, y0)`.
     """
     r = profile.series()
-    state = make_state(seed, y0)
-    y_now = y_prev = float(y0)
+    noise = None  # as in `step`, sigma 0 draws nothing and adds nothing
+    if params.noise_sigma > 0.0:
+        noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
+    y_state = y_now = y_prev = float(y0)
     u1 = u2 = U_MIN
     ys = []
     us = []
     for k, r_k in enumerate(r.tolist()):
-        u = float(controller(np.array([r_k, y_now, y_prev, u1, u2])))
+        u = float(controller((r_k, y_now, y_prev, u1, u2)))
         if not math.isfinite(u):
             partial = ClosedLoopTrace(r[:k], ys, us)
             raise ControllerDivergedError(
                 f"controller output not finite at sample {k}", partial
             )
         u = min(max(u, U_MIN), U_MAX)
-        state, measured = step(state, params, u)
+        y_state = advance(params, y_state, u)
+        measured = y_state if noise is None else y_state + noise[k]
         ys.append(measured)
         us.append(u)
         y_prev, y_now = y_now, measured

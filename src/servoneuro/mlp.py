@@ -54,8 +54,11 @@ class MlpNetwork:
         self._bind(self.weights)
 
     def _bind(self, weights):
-        """Set the flat weight vector and the (W.T, b, is_tanh) layer views
-        into it that the forward passes and the Jacobian use."""
+        """Set the flat weight vector and the (W.T, W, b, is_tanh) layer views
+        into it that the forward passes and the Jacobian use.  W alone is a
+        contiguous copy of the layer's rows, for `forward`: `W.dot(a)` on it
+        rounds like `@` on the strided rows, in half the time.  A copy is safe
+        because a network's weights are never edited in place."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (weight_count(self.layer_sizes),):
             raise ArchitectureError(
@@ -64,7 +67,7 @@ class MlpNetwork:
             )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_views", tuple(
-            (W.T, b, kind is ActivationKind.TANH)
+            (W.T, np.ascontiguousarray(W), b, kind is ActivationKind.TANH)
             for (W, b), kind in zip(self.layers(), self.activations)
         ))
 
@@ -119,27 +122,25 @@ def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwor
     return MlpNetwork(layer_sizes, activations, w)
 
 
-def _propagate(net: MlpNetwork, a: np.ndarray, ndim: int) -> list:
-    """Run `a` (one pattern, or one per row) through every layer; returns `a`
-    followed by each layer's activations."""
-    if a.ndim != ndim or a.shape[-1] != net.input_width:
-        raise ArchitectureError(
-            f"input of shape {a.shape} does not match network input width "
-            f"{net.input_width}"
-        )
-    acts = [a]
-    for WT, b, is_tanh in net._views:
-        a = a @ WT + b
-        if is_tanh:
-            a = np.tanh(a)
-        acts.append(a)
-    return acts
+def _width_error(net: MlpNetwork, shape) -> ArchitectureError:
+    return ArchitectureError(
+        f"input of shape {shape} does not match network input width {net.input_width}"
+    )
 
 
 def forward_layers(net: MlpNetwork, inputs: np.ndarray) -> list:
     """Evaluate the network on a (P, n_in) matrix; returns the inputs followed
     by every layer's (P, n_i) activations, the last being `forward_batch`'s."""
-    return _propagate(net, np.asarray(inputs, dtype=float), 2)
+    a = np.asarray(inputs, dtype=float)
+    if a.ndim != 2 or a.shape[1] != net.input_width:
+        raise _width_error(net, a.shape)
+    acts = [a]
+    for WT, _, b, is_tanh in net._views:
+        a = a @ WT + b
+        if is_tanh:
+            a = np.tanh(a)
+        acts.append(a)
+    return acts
 
 
 def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
@@ -150,9 +151,19 @@ def forward_batch(net: MlpNetwork, inputs: np.ndarray) -> np.ndarray:
 def forward(net: MlpNetwork, x) -> float:
     """Single-pattern evaluation of a length-n_in vector; returns a scalar for
     a one-output network.  tests/test_properties.py checks that it rounds
-    exactly like the pattern's row in `forward_batch`."""
-    out = _propagate(net, np.asarray(x, dtype=float), 1)[-1]
-    return float(out[0]) if net.output_width == 1 else out
+    exactly like the pattern's row in `forward_batch`.
+
+    Each layer is W.dot(a) on the layer's rows W, which rounds like the row
+    a @ W.T of `forward_batch`; a.dot(W.T) and a @ np.ascontiguousarray(W.T)
+    do not."""
+    a = np.asarray(x, dtype=float)
+    if a.shape != (net.input_width,):
+        raise _width_error(net, a.shape)
+    for _, W, b, is_tanh in net._views:
+        a = W.dot(a) + b
+        if is_tanh:
+            a = np.tanh(a)
+    return float(a[0]) if net.output_width == 1 else a
 
 
 def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
@@ -183,7 +194,7 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
     views = net._views
     acts = forward_layers(net, X) if activations is None else activations
     # dy/dz for the output layer
-    if views[-1][2]:
+    if views[-1][3]:
         delta = 1.0 - acts[-1] ** 2
     else:
         delta = np.ones((P, 1))
@@ -205,7 +216,7 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
         np.multiply(neg[:, None, :], acts[layer].T.copy(), out=block[:, :fi, :])
         if layer > 0:
             delta = delta @ WT.T
-            if views[layer - 1][2]:
+            if views[layer - 1][3]:
                 delta *= 1.0 - acts[layer] ** 2
         end = start
     np.copyto(out, JT.T)

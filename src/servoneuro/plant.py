@@ -68,12 +68,17 @@ def steady_state(params: MotorParams, u: float) -> float:
     return params.gain * static_map(params, u)
 
 
+def advance(params: MotorParams, y: float, u: float) -> float:
+    """Noise-free internal output one sample after y under input u."""
+    a = params.decay
+    return a * y + (1.0 - a) * params.gain * static_map(params, u)
+
+
 def step(state: PlantState, params: MotorParams, u: float):
     """Advance one sample; returns (new_state, measured_y)."""
     if not math.isfinite(u):
         raise ValueError("plant input must be finite")
-    a = params.decay
-    y_next = a * state.y + (1.0 - a) * params.gain * static_map(params, u)
+    y_next = advance(params, state.y, u)
     measured = y_next
     if params.noise_sigma > 0.0:
         measured = y_next + state.rng.normal(0.0, params.noise_sigma)

@@ -106,6 +106,8 @@ class TestConfigLoading:
             ("experiment: {amplitude_max: .inf}", [], "amplitude_max"),
             ("experiment: {num_steps: 1, dwell_samples: 3}", [], "dwell_samples"),
             ("trainer: {lambda_init: .nan}", [], "lambda_init"),
+            pytest.param("plant: {gain: 1" + "0" * 400 + "}", [], "plant",
+                         id="int-past-float"),
         ],
     )
     def test_invalid_value_names_the_field(self, tmp_path, capsys, config_text, extra_args, field):
@@ -115,6 +117,32 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    # Each profile entry is checked like a config field: a level is a number,
+    # a duration an int, and neither a bool or a string.
+    @pytest.mark.parametrize(
+        "profile,field",
+        [
+            ('[{level: "1.5", duration: true}, {level: true, duration: 2.9}]',
+             "evaluation.profile[0].level"),
+            ("[{level: 1.5, duration: true}]", "evaluation.profile[0].duration"),
+            ("[{level: 1.5, duration: 20}, {level: true, duration: 20}]",
+             "evaluation.profile[1].level"),
+            ("[{level: 1.5, duration: 2.9}]", "evaluation.profile[0].duration"),
+            ('[{level: 1.5, duration: "20"}]', "evaluation.profile[0].duration"),
+            pytest.param("[{level: 1" + "0" * 400 + ", duration: 20}]", "evaluation.profile",
+                         id="int-past-float"),
+        ],
+    )
+    def test_profile_entries_are_not_coerced(self, tmp_path, capsys, profile, field):
+        path = write_config(tmp_path, f"evaluation: {{profile: {profile}}}\n")
+        out = tmp_path / "out"
+        assert run(["--config", path, "--out", str(out), "control", "--oracle"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCollect:
     def test_writes_iolog(self, fast_config):
@@ -555,6 +583,67 @@ def test_collect_exit_code_contract(fuzz_dir, config):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["--config", str(path), "--out", str(fuzz_dir / "out"), "collect"])
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# --- exit-code contract of the evaluation block ----------------------------
+
+# Values of every YAML type.  No int here exceeds 50, so a value that lands
+# in a duration keeps a valid profile short.
+_yaml_values = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from(["1.5", "20", ".nan", "inf"]),
+    st.integers(-2, 50),
+    st.lists(st.integers(-2, 50), max_size=2),
+    st.dictionaries(st.sampled_from(["level", "duration"]), st.integers(-2, 50), max_size=2),
+)
+
+
+@st.composite
+def _evaluations(draw):
+    """A valid evaluation block, then at most one spoilt part: a level or a
+    duration of any YAML type, a missing or an extra key, or an entry, the
+    profile or the seeds replaced by any YAML value."""
+    profile = draw(st.lists(st.fixed_dictionaries(
+        {"level": st.floats(-10, 10), "duration": st.integers(1, 50)}), min_size=1, max_size=3))
+    evaluation = {"profile": profile, "seeds": draw(st.lists(st.integers(0, 3), min_size=1,
+                                                            max_size=2))}
+    i = draw(st.integers(0, len(profile) - 1))
+    spoil = draw(st.sampled_from(
+        ["none", "level", "duration", "missing", "extra", "entry", "profile", "seeds"]))
+    if spoil == "level":
+        profile[i]["level"] = draw(st.one_of(_yaml_values, st.just(10**400)))
+    elif spoil == "duration":
+        profile[i]["duration"] = draw(_yaml_values)
+    elif spoil == "missing":
+        del profile[i][draw(st.sampled_from(["level", "duration"]))]
+    elif spoil == "extra":
+        profile[i]["x"] = draw(_yaml_values)
+    elif spoil == "entry":
+        profile[i] = draw(_yaml_values)
+    elif spoil in ("profile", "seeds"):
+        evaluation[spoil] = draw(_yaml_values)
+    return evaluation
+
+
+@given(evaluation=_evaluations())
+@settings(max_examples=60, deadline=None)
+@example(evaluation={"profile": [{"level": "1.5", "duration": True},
+                                 {"level": True, "duration": 2.9}]})
+@example(evaluation={"profile": [{"level": 10**400, "duration": 3}]})
+@example(evaluation={"profile": [{"level": 1e308, "duration": 3}], "seeds": [0]})
+def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation):
+    """Any evaluation block either runs (exit 0), is a config error (exit 1),
+    or, for a finite level so large that the oracle's output overflows, is a
+    numeric failure (exit 3); no traceback reaches stderr."""
+    path = fuzz_dir / "evaluation.yaml"
+    path.write_text(yaml.safe_dump({"evaluation": evaluation}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(fuzz_dir / "oracle"), "control",
+                     "--oracle"])
+    assert code in (EXIT_OK, EXIT_CONFIG) or (
+        code == EXIT_NUMERIC and "controller output not finite" in err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from servoneuro import mlp
 from servoneuro.control import (
@@ -21,7 +23,7 @@ from servoneuro.control import (
     run_closed_loops,
     trace_to_csv,
 )
-from servoneuro.plant import MotorParams
+from servoneuro.plant import MotorParams, make_state, step
 from servoneuro.scaling import AffineScaling
 
 
@@ -107,6 +109,93 @@ class TestRunClosedLoop:
             NeuralController(
                 net, AffineScaling(np.zeros(3), np.ones(3)), AffineScaling(np.zeros(1), np.ones(1))
             )
+
+
+def _reference_loop(params, controller, profile, seed, y0):
+    """The closed loop as first written: an array regressor, one `plant.step`
+    per sample.  Returns (r, y, u) up to the first non-finite output, and the
+    index of that sample (None if there is none)."""
+    r = profile.series()
+    state = make_state(seed, y0)
+    y_now = y_prev = float(y0)
+    u1 = u2 = U_MIN
+    ys, us = [], []
+    for k, r_k in enumerate(r):
+        u = float(controller(np.array([r_k, y_now, y_prev, u1, u2])))
+        if not np.isfinite(u):
+            return (r[:k], ys, us), k
+        u = min(max(u, U_MIN), U_MAX)
+        state, measured = step(state, params, u)
+        ys.append(measured)
+        us.append(u)
+        y_prev, y_now = y_now, measured
+        u2, u1 = u1, u
+    return (r, ys, us), None
+
+
+def _batch_controller(net, input_scaling, target_scaling):
+    """NeuralController's arithmetic through the array paths: the scaling's
+    `apply` and `invert` and a one-row `forward_batch`."""
+
+    def control(regressor):
+        out = mlp.forward_batch(net, input_scaling.apply(regressor)[None])[0]
+        return target_scaling.invert(out)[0]
+
+    return control
+
+
+@st.composite
+def _neural_parts(draw):
+    """A [5, h, 1] net with a tanh hidden layer and a tanh or linear output,
+    and scalings that map a plausible regressor and u onto about [-1, 1]."""
+    hidden = draw(st.integers(1, 12))
+    output = draw(st.sampled_from(["tanh", "linear"]))
+    net = mlp.init_weights([5, hidden, 1], ["tanh", output],
+                           seed=draw(st.integers(0, 2**31 - 1)),
+                           scale=draw(st.sampled_from([0.1, 0.5, 1.0, 3.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    input_scaling = AffineScaling(rng.uniform([0, 0, 0, 4, 4], [4, 4, 4, 5, 5]),
+                                  rng.uniform(0.2, 1.5, 5))
+    target_scaling = AffineScaling(rng.uniform(4.0, 5.0, 1), rng.uniform(0.3, 1.0, 1))
+    return net, input_scaling, target_scaling
+
+
+_profiles = st.lists(st.tuples(st.floats(0.0, 4.0), st.integers(1, 60)), min_size=1,
+                     max_size=3).map(lambda steps: ReferenceProfile(tuple(steps)))
+
+
+class TestLoopMatchesReference:
+    """run_closed_loop with a NeuralController gives the reference loop's
+    bytes: the Python-float scaling, the row-wise `forward` and the one noise
+    draw per loop change no bit."""
+
+    @given(parts=_neural_parts(), profile=_profiles, seed=st.integers(0, 2**31 - 1),
+           sigma=st.sampled_from([0.0, 0.02, 0.1]), y0=st.sampled_from([0.0, 0.6, 2.25]))
+    @settings(max_examples=60, deadline=None)
+    def test_trace_bit_for_bit(self, parts, profile, seed, sigma, y0):
+        params = MotorParams(noise_sigma=sigma)
+        trace = run_closed_loop(params, NeuralController(*parts), profile, seed, y0)
+        (r, y, u), diverged_at = _reference_loop(
+            params, _batch_controller(*parts), profile, seed, y0)
+        assert diverged_at is None
+        for got, want in ((trace.r, r), (trace.y, y), (trace.u, u)):
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    @given(parts=_neural_parts(), seed=st.integers(0, 2**31 - 1), n_samples=st.integers(0, 80),
+           sigma=st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=25, deadline=None)
+    def test_divergence_bit_for_bit(self, parts, seed, n_samples, sigma):
+        params = MotorParams(noise_sigma=sigma)
+        with pytest.raises(ControllerDivergedError) as err:
+            run_closed_loop(params, _nan_after(n_samples, NeuralController(*parts)), PROFILE,
+                            seed, 0.6)
+        (r, y, u), diverged_at = _reference_loop(
+            params, _nan_after(n_samples, _batch_controller(*parts)), PROFILE, seed, 0.6)
+        assert diverged_at == n_samples
+        assert str(err.value) == f"controller output not finite at sample {diverged_at}"
+        partial = err.value.trace
+        for got, want in ((partial.r, r), (partial.y, y), (partial.u, u)):
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 class TestComputeIndices:
