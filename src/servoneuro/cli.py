@@ -17,7 +17,7 @@ from . import control as ctl
 from . import experiment as exp
 from . import mlp
 from . import training as tr
-from .plant import MotorParams
+from .plant import MAX_SIZE, MotorParams
 from .svg import write_line_chart
 
 EXIT_OK = 0
@@ -39,8 +39,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes):
-            raise ValueError(f"layer_sizes must be positive integers, got {sizes}")
+        if not all(isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_SIZE
+                   for n in sizes):
+            raise ValueError(
+                f"layer_sizes must be positive integers of at most {MAX_SIZE}, got {sizes}")
         if len(sizes) < 2 or sizes[0] != ctl.REGRESSOR_WIDTH or sizes[-1] != 1:
             raise ValueError(
                 f"layer_sizes must have {ctl.REGRESSOR_WIDTH} inputs (the regressor width) "
@@ -75,15 +77,18 @@ class EvaluationSpec:
     profile: ctl.ReferenceProfile = ctl.DEFAULT_PROFILE
     seeds: tuple = tuple(range(10))
 
+    def __post_init__(self):
+        if not self.seeds or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be nonempty nonnegative integers, got {self.seeds!r}")
+
 
 @dataclass(frozen=True)
 class WorkbenchConfig:
     plant: MotorParams = field(default_factory=MotorParams)
     experiment: exp.StepExperimentConfig = field(default_factory=exp.StepExperimentConfig)
     network: NetworkSpec = field(default_factory=NetworkSpec)
-    trainer: TrainerSpec = field(
-        default_factory=lambda: TrainerSpec("lm", tr.LmConfig())
-    )
+    trainer: TrainerSpec = field(default_factory=lambda: TrainerSpec("lm", tr.LmConfig()))
     evaluation: EvaluationSpec = field(default_factory=EvaluationSpec)
     output_dir: str = "out"
 
@@ -99,7 +104,12 @@ _TRAINERS = {
 }
 
 # Accepted Python types per declared field type; a bool is never a number.
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "tuple": (list, tuple)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list, tuple)}
+
+
+def _check_mapping(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be a mapping, got {value!r}")
 
 
 def _check_keys(mapping, allowed, section):
@@ -108,94 +118,82 @@ def _check_keys(mapping, allowed, section):
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
-def _field_names(cls):
-    return [f.name for f in dataclasses.fields(cls)]
-
-
 def _check_type(value, kind, name):
     """Raise a ConfigError naming `name` unless `value` has the declared
-    field type `kind` (int, float or tuple; other kinds are not checked)."""
+    field type `kind` (int, float, str or tuple; other kinds are not checked)."""
     accepted = _FIELD_TYPES.get(kind)
     if accepted is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
         raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
 
 
-def _build_dataclass(cls, mapping, section):
-    """Build `cls` from a config mapping, checking each value against its
-    field's declared type (int, float or tuple) before the class's own checks."""
-    declared = {f.name: getattr(f.type, "__name__", f.type) for f in dataclasses.fields(cls)}
-    _check_keys(mapping, declared, section)
+def _build_dataclass(cls, value, section=None):
+    """Build `cls` from a mapping of its fields: a field whose default is a
+    dataclass from its own value, any other checked against its declared type,
+    then the class's own checks.  A class in _BUILDERS has its own YAML shape.
+    `section` names the value in messages; the whole config's keys are bare."""
+    if cls in _BUILDERS:
+        return _BUILDERS[cls](value, section)
+    label = section or "config"
+    _check_mapping(value, label)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    _check_keys(value, fields, label)
     kwargs = {}
-    for name, value in mapping.items():
-        kind = declared[name]
-        _check_type(value, kind, f"{section}.{name}")
-        kwargs[name] = tuple(value) if kind == "tuple" else value
+    for name, item in value.items():
+        where = f"{section}.{name}" if section else name
+        f = fields[name]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            kwargs[name] = _build_dataclass(type(default), item, where)
+        else:
+            kind = getattr(f.type, "__name__", f.type)
+            _check_type(item, kind, where)
+            kwargs[name] = tuple(item) if kind == "tuple" else item
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
-        raise ConfigError(f"invalid '{section}' configuration: {exc}") from exc
+        raise ConfigError(f"invalid '{label}' configuration: {exc}") from exc
 
 
-def _build_trainer(mapping):
-    """Trainer keys are the fields of LmConfig plus, for br and early_stop,
-    the fields of BrConfig or EarlyStopConfig other than `lm`."""
-    mapping = dict(mapping)
-    algorithm = mapping.pop("algorithm", "lm")
+def _build_trainer(mapping, section):
+    """Trainer keys are `algorithm`, the fields of LmConfig and, for br and
+    early_stop, the fields of BrConfig or EarlyStopConfig other than `lm`."""
+    _check_mapping(mapping, section)
+    algorithm = mapping.get("algorithm", "lm")
     if not isinstance(algorithm, str) or algorithm not in _TRAINERS:
         raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use lm, br, early_stop)")
     cls = _TRAINERS[algorithm][0]
-    lm_keys = _field_names(tr.LmConfig)
-    own_keys = [] if cls is tr.LmConfig else [k for k in _field_names(cls) if k != "lm"]
-    _check_keys(mapping, lm_keys + own_keys, f"trainer (algorithm {algorithm})")
-    lm = _build_dataclass(
-        tr.LmConfig, {k: v for k, v in mapping.items() if k in lm_keys}, "trainer"
-    )
+    lm_keys = [f.name for f in dataclasses.fields(tr.LmConfig)]
+    own_keys = [f.name for f in dataclasses.fields(cls) if f.name not in (*lm_keys, "lm")]
+    _check_keys(mapping, ["algorithm", *lm_keys, *own_keys], f"{section} (algorithm {algorithm})")
+    lm = _build_dataclass(tr.LmConfig, {k: v for k, v in mapping.items() if k in lm_keys}, section)
     if cls is tr.LmConfig:
         return TrainerSpec(algorithm, lm)
-    own = {k: v for k, v in mapping.items() if k in own_keys}
-    return TrainerSpec(algorithm, _build_dataclass(cls, dict(own, lm=lm), "trainer"))
+    own = _build_dataclass(cls, {k: v for k, v in mapping.items() if k in own_keys}, section)
+    return TrainerSpec(algorithm, dataclasses.replace(own, lm=lm))
 
 
-def _build_evaluation(mapping):
-    _check_keys(mapping, ("profile", "seeds"), "evaluation")
-    kwargs = {}
-    if "profile" in mapping:
-        if not isinstance(mapping["profile"], list):
-            raise ConfigError("evaluation.profile must be a list of {level, duration} mappings")
-        steps = []
-        for i, entry in enumerate(mapping["profile"]):
-            if not isinstance(entry, dict):
-                raise ConfigError("evaluation.profile entries must be mappings")
-            where = f"evaluation.profile[{i}]"
-            _check_keys(entry, ("level", "duration"), where)
-            if "level" not in entry or "duration" not in entry:
-                raise ConfigError(f"{where} needs numeric 'level' and 'duration'")
-            _check_type(entry["level"], "float", f"{where}.level")
-            _check_type(entry["duration"], "int", f"{where}.duration")
-            steps.append((entry["level"], entry["duration"]))
-        try:
-            kwargs["profile"] = ctl.ReferenceProfile(tuple(steps))
-        except (ValueError, OverflowError) as exc:  # OverflowError: an int past float
-            raise ConfigError(f"invalid evaluation.profile: {exc}") from exc
-    if "seeds" in mapping:
-        seeds = mapping["seeds"]
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError(f"evaluation.seeds must be a nonempty list of seeds, got {seeds!r}")
-        for seed in seeds:
-            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-                raise ConfigError(f"evaluation.seeds: {seed!r} is not a nonnegative integer")
-        kwargs["seeds"] = tuple(seeds)
-    return EvaluationSpec(**kwargs)
+def _build_profile(entries, section):
+    """A profile is a list of {level, duration} mappings."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{section} must be a list of {{level, duration}} mappings")
+    steps = []
+    for i, entry in enumerate(entries):
+        where = f"{section}[{i}]"
+        _check_mapping(entry, where)
+        _check_keys(entry, ("level", "duration"), where)
+        if "level" not in entry or "duration" not in entry:
+            raise ConfigError(f"{where} needs numeric 'level' and 'duration'")
+        _check_type(entry["level"], "float", f"{where}.level")
+        _check_type(entry["duration"], "int", f"{where}.duration")
+        steps.append((entry["level"], entry["duration"]))
+    try:
+        return ctl.ReferenceProfile(tuple(steps))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float
+        raise ConfigError(f"invalid {section}: {exc}") from exc
 
 
-# Builders of the config file's sections; output_dir is the one plain value.
-_SECTIONS = {
-    "plant": lambda m: _build_dataclass(MotorParams, m, "plant"),
-    "experiment": lambda m: _build_dataclass(exp.StepExperimentConfig, m, "experiment"),
-    "network": lambda m: _build_dataclass(NetworkSpec, m, "network"),
-    "trainer": _build_trainer,
-    "evaluation": _build_evaluation,
-}
+# The classes whose YAML shape is not a mapping of their own fields.
+_BUILDERS = {TrainerSpec: _build_trainer, ctl.ReferenceProfile: _build_profile}
 
 
 def load_config(path=None) -> WorkbenchConfig:
@@ -213,20 +211,7 @@ def load_config(path=None) -> WorkbenchConfig:
             raw = yaml.safe_load(text) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a mapping at top level")
-    _check_keys(raw, [*_SECTIONS, "output_dir"], "config")
-    kwargs = {}  # an absent key takes the WorkbenchConfig default
-    for name, value in raw.items():
-        if name == "output_dir":
-            if not isinstance(value, str):
-                raise ConfigError(f"'output_dir' must be a string, got {value!r}")
-            kwargs[name] = value
-        elif not isinstance(value, dict):
-            raise ConfigError(f"section '{name}' must be a mapping, got {value!r}")
-        else:
-            kwargs[name] = _SECTIONS[name](value)
-    return WorkbenchConfig(**kwargs)
+    return _build_dataclass(WorkbenchConfig, raw)
 
 
 def _apply_overrides(config, args) -> WorkbenchConfig:
@@ -297,6 +282,8 @@ def cmd_train(config, args) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         print(f"partial report in {report_path}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # an early-stop split of this log with an empty side
+        raise ConfigError(f"invalid 'trainer' configuration for {iolog_path}: {exc}") from exc
     net_path = out / "controller.net"
     mlp.save_network(net_path, trained, dataset.input_scaling, dataset.target_scaling)
     report.to_csv(report_path)
@@ -449,6 +436,9 @@ def main(argv=None) -> int:
             ctl.ControllerDivergedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # raised here or in a closed-loop worker
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

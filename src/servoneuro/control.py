@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mlp import MlpNetwork, forward
-from .plant import MotorParams, advance, step  # noqa: F401  (step: a bench/tracer.py target)
+from .plant import MAX_SIZE, MotorParams, advance
 from .scaling import AffineScaling
 
 # Valid actuation band; controller outputs are clamped here before application.
@@ -40,6 +40,8 @@ class ReferenceProfile:
             raise ValueError("reference profile must be nonempty")
         if any(dur < 1 for _, dur in steps):
             raise ValueError("step durations must be positive")
+        if sum(dur for _, dur in steps) > MAX_SIZE:
+            raise ValueError(f"reference profile must be at most {MAX_SIZE} samples long")
         if not all(math.isfinite(level) for level, _ in steps):
             raise ValueError("step levels must be finite")
         object.__setattr__(self, "steps", steps)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import MotorParams, make_state, step
+from .plant import MAX_SIZE, MotorParams, make_state, step
 from .training import Dataset
 
 # The shortest log that forms one lagged training pattern (see
@@ -34,6 +34,8 @@ class StepExperimentConfig:
             raise ValueError(
                 f"num_steps * dwell_samples must be at least {MIN_LOG_SAMPLES} samples"
             )
+        if self.num_steps * self.dwell_samples > MAX_SIZE:
+            raise ValueError(f"num_steps * dwell_samples must be at most {MAX_SIZE} samples")
         for name in ("amplitude_min", "amplitude_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -10,6 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest series length (a step experiment, a reference profile) and layer
+# width a config may ask for, far past any run of this workbench.  A run
+# within it can still run out of memory; the CLI reports that as exit 1.
+MAX_SIZE = 10**7
+
 
 @dataclass(frozen=True)
 class MotorParams:

@@ -367,7 +367,8 @@ def split_dataset(data: Dataset, fraction: float, seed: int):
     P = data.n_patterns
     n_held = int(round(fraction * P))
     if n_held == 0 or n_held == P:
-        raise ValueError(f"split leaves an empty partition (P={P}, fraction={fraction})")
+        raise ValueError(
+            f"validation_fraction {fraction} leaves an empty partition of {P} patterns")
     perm = np.random.default_rng(seed).permutation(P)
     held, kept = perm[:n_held], perm[n_held:]
     return (

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from servoneuro import control as ctl
 from servoneuro.cli import (
-    EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, NetworkSpec, WorkbenchConfig, load_config, main,
+    EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EvaluationSpec, NetworkSpec, WorkbenchConfig,
+    load_config, main,
 )
 from servoneuro.experiment import StepExperimentConfig
 from servoneuro.plant import MotorParams
@@ -108,6 +110,11 @@ class TestConfigLoading:
             ("trainer: {lambda_init: .nan}", [], "lambda_init"),
             pytest.param("plant: {gain: 1" + "0" * 400 + "}", [], "plant",
                          id="int-past-float"),
+            ("experiment: {num_steps: 1000000000000000}", [], "num_steps"),
+            pytest.param("experiment: {num_steps: 1" + "0" * 400 + "}", [], "num_steps",
+                         id="num-steps-past-c-long"),
+            ("network: {layer_sizes: [5, 1000000000000, 1]}", [], "layer_sizes"),
+            ("output_dir: [out]", [], "output_dir"),
         ],
     )
     def test_invalid_value_names_the_field(self, tmp_path, capsys, config_text, extra_args, field):
@@ -132,6 +139,11 @@ class TestConfigLoading:
             ('[{level: 1.5, duration: "20"}]', "evaluation.profile[0].duration"),
             pytest.param("[{level: 1" + "0" * 400 + ", duration: 20}]", "evaluation.profile",
                          id="int-past-float"),
+            ("[{level: 1.0, duration: 1000000000000000}]", "evaluation.profile"),
+            pytest.param("[{level: 1.0, duration: 1" + "0" * 400 + "}]", "evaluation.profile",
+                         id="duration-past-c-long"),
+            ("[{level: 1.0, duration: 6000000}, {level: 2.0, duration: 6000000}]",
+             "evaluation.profile"),
         ],
     )
     def test_profile_entries_are_not_coerced(self, tmp_path, capsys, profile, field):
@@ -142,6 +154,19 @@ class TestConfigLoading:
         assert field in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = load_config(write_config(tmp_path, example))
+        assert config.trainer.algorithm == "br"
+        assert config.trainer.config.lm.lambda_max == 1e10
+        assert config.evaluation.seeds == (0, 1, 2)
+
+    def test_library_callers_get_the_seed_checks(self):
+        for seeds in [(), (0, -1), (True,), (0, 1.0)]:
+            with pytest.raises(ValueError, match="seeds"):
+                EvaluationSpec(seeds=seeds)
 
 
 class TestCollect:
@@ -353,6 +378,26 @@ class TestForkedClosedLoops:
         err = capsys.readouterr().err
         expected = "ended without its results" if failure == "dies" else "simulated read failure"
         assert "I/O error: " in err and expected in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_cpus", [1, 3])
+    def test_memory_error_is_exit_1(
+        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch, n_cpus
+    ):
+        path, nets = three_seed_nets
+        real = ctl.run_closed_loop
+
+        def run_closed_loop(params, controller, profile, seed):
+            if seed == 1:  # the parent's loop with one CPU, a child's with three
+                raise MemoryError("Unable to allocate 7.11 PiB for an array")
+            return real(params, controller, profile, seed)
+
+        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
+        cpus(n_cpus)
+        assert run(["--config", path, "--out", str(tmp_path / "out"), "control", nets[0]]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: Unable to allocate 7.11 PiB" in err
         assert "Traceback" not in err
 
 
@@ -632,6 +677,7 @@ def _evaluations(draw):
                                  {"level": True, "duration": 2.9}]})
 @example(evaluation={"profile": [{"level": 10**400, "duration": 3}]})
 @example(evaluation={"profile": [{"level": 1e308, "duration": 3}], "seeds": [0]})
+@example(evaluation={"profile": [{"level": 1.0, "duration": 10**15}]})
 def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation):
     """Any evaluation block either runs (exit 0), is a config error (exit 1),
     or, for a finite level so large that the oracle's output overflows, is a
@@ -644,6 +690,76 @@ def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation):
                      "--oracle"])
     assert code in (EXIT_OK, EXIT_CONFIG) or (
         code == EXIT_NUMERIC and "controller output not finite" in err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# --- exit-code contract of the trainer block -------------------------------
+
+# A valid value for each trainer key other than max_epochs.
+_TRAINER_VALUES = {
+    "lambda_init": st.floats(1e-6, 1.0), "lambda_increase": st.floats(1.5, 100.0),
+    "lambda_decrease": st.floats(0.01, 0.9), "lambda_max": st.floats(1e3, 1e12),
+    "goal_ed": st.floats(0.0, 1e-2), "alpha_init": st.floats(1e-3, 1e3),
+    "beta_init": st.floats(1e-6, 1e3), "reestimate_every": st.integers(1, 3),
+    "validation_fraction": st.floats(0.01, 0.99), "patience": st.integers(1, 3),
+    "split_seed": st.integers(0, 5),
+}
+_ALGORITHM_KEYS = {
+    algorithm: sorted(set(_names(LmConfig) + _names(cls)) & set(_TRAINER_VALUES))
+    for algorithm, cls in [("lm", LmConfig), ("br", BrConfig), ("early_stop", EarlyStopConfig)]
+}
+
+
+@st.composite
+def _trainers(draw):
+    """A valid trainer block of at most three epochs with up to three more of
+    its algorithm's keys, then at most one spoilt part: a value of any YAML
+    type or size, a key of another algorithm, an unknown algorithm or a bad
+    max_epochs."""
+    algorithm = draw(st.sampled_from(sorted(_ALGORITHM_KEYS)))
+    keys = draw(st.lists(st.sampled_from(_ALGORITHM_KEYS[algorithm]), max_size=3, unique=True))
+    trainer = {"algorithm": algorithm, "max_epochs": draw(st.integers(1, 3)),
+               **{key: draw(_TRAINER_VALUES[key]) for key in keys}}
+    spoil = draw(st.sampled_from(["none", "value", "key", "algorithm", "max_epochs"]))
+    if spoil == "value":
+        key = draw(st.sampled_from(_ALGORITHM_KEYS[algorithm]))
+        trainer[key] = draw(st.one_of(_values, st.floats(), st.sampled_from(
+            [1e-300, 1e300, 10**400, 10**15, -(10**15), 0.999999, 1e-9])))
+    elif spoil == "key":
+        trainer[draw(st.sampled_from([*_TRAINER_VALUES, "lm", "junk"]))] = draw(_values)
+    elif spoil == "algorithm":
+        trainer["algorithm"] = draw(_scalars)
+    elif spoil == "max_epochs":
+        trainer["max_epochs"] = draw(st.one_of(st.integers(-2, 0), st.floats(), st.sampled_from(
+            [None, True, "2", [2], 2.0])))
+    return trainer
+
+
+@pytest.fixture(scope="module")
+def tiny_iolog(tmp_path_factory):
+    base = tmp_path_factory.mktemp("tiny_iolog")
+    path = write_config(base, "experiment: {num_steps: 4, dwell_samples: 10}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", path, "--out", str(base), "collect"]) == EXIT_OK
+    return base / "iolog.csv"
+
+
+@given(trainer=_trainers())
+@settings(max_examples=40, deadline=None)
+@example(trainer={"algorithm": "early_stop", "max_epochs": 3, "validation_fraction": 0.999999})
+@example(trainer={"algorithm": "br", "max_epochs": 3, "beta_init": 1e300, "alpha_init": 1e-300})
+@example(trainer={"algorithm": "lm", "max_epochs": 3, "lambda_init": 1e-300,
+                  "lambda_max": 1e300, "lambda_increase": 1e300})
+def test_train_exit_code_contract(fuzz_dir, tiny_iolog, trainer):
+    """Any trainer block trains (exit 0), is a config error (exit 1) or
+    diverges (exit 3) on a 40-sample I/O log; no traceback reaches stderr."""
+    path = fuzz_dir / "trainer.yaml"
+    path.write_text(yaml.safe_dump({"trainer": trainer}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(fuzz_dir / "train"), "train",
+                     "--iolog", str(tiny_iolog)])
+    assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
 
 
