@@ -81,6 +81,8 @@ class EvaluationSpec:
         if not self.seeds or not all(
                 isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds):
             raise ValueError(f"seeds must be nonempty nonnegative integers, got {self.seeds!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"evaluation.seeds must not repeat a seed, got {self.seeds!r}")
 
 
 @dataclass(frozen=True)
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
             ctl.ControllerDivergedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MemoryError as exc:  # raised here or in a closed-loop worker
+    except MemoryError as exc:  # a run larger than the memory it can get
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -6,16 +6,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import pickle
-import signal
 import statistics
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mlp import MlpNetwork, forward
+from .mlp import MlpNetwork, forward, forward_stacked, stack_layers
 from .plant import MAX_SIZE, MotorParams, advance
 from .scaling import AffineScaling
 
@@ -90,9 +87,6 @@ class ControllerDivergedError(RuntimeError):
     def __init__(self, message, trace: ClosedLoopTrace):
         super().__init__(message)
         self.trace = trace
-
-    def __reduce__(self):  # pickles with its trace (a forked worker sends it back)
-        return type(self), (str(self), self.trace)
 
 
 @dataclass(frozen=True)
@@ -198,91 +192,124 @@ def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:
     return indices
 
 
-def _run_jobs(jobs, summarize):
-    results = []
-    for job in jobs:
-        try:
-            results.append(summarize(run_closed_loop(*job)))
-        except ControllerDivergedError as exc:
-            results.append(exc)
-    return results
+# Smallest group of NeuralController loops that run_closed_loops runs in
+# lockstep: below it, one loop at a time is faster (measured in BENCH_13.json).
+LOCKSTEP_MIN = 3
 
 
-def _transportable(exc):
-    """`exc` if it survives pickling, else a ChildProcessError naming it."""
+def _run_lockstep(jobs) -> list:
+    """run_closed_loop for NeuralController jobs of one architecture, one
+    profile and either all or no noise, all loops in one pass over the
+    samples; returns each loop's trace or its ControllerDivergedError.
+
+    Each layer of the controllers is one `forward_stacked` call for the whole
+    group; everything else is elementwise and makes the IEEE operations of
+    run_closed_loop in its order, so each loop gets the same bits.  A loop
+    whose output is not finite stops there; the others go on."""
+    params = [job[0] for job in jobs]
+    controllers = [job[1] for job in jobs]
+    r = jobs[0][2].series()
+    n, G = r.size, len(jobs)
+    in_offset = np.array([c._in_offset for c in controllers])
+    in_gain = np.array([c._in_gain for c in controllers])
+    out_gain = np.array([c._out_gain for c in controllers])
+    out_offset = np.array([c._out_offset for c in controllers])
+    layers = stack_layers([c.net for c in controllers])
+    decay = np.array([p.decay for p in params])
+    drive = np.array([(1.0 - p.decay) * p.gain for p in params])  # advance's ((1-a)*gain)*s
+    dead_zone = np.array([p.dead_zone for p in params])
+    span = np.array([p.saturation - p.dead_zone for p in params])
+    noise = None
+    if params[0].noise_sigma > 0.0:
+        noise = np.empty((n, G))
+        for g, (p, job) in enumerate(zip(params, jobs)):
+            noise[:, g] = np.random.default_rng(job[3]).normal(0.0, p.noise_sigma, n)
+    # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)]
+    reg = np.empty((G, REGRESSOR_WIDTH))
+    reg[:, 1:3] = 0.0
+    reg[:, 3:] = U_MIN
+    ys = np.empty((n, G))
+    us = np.empty((n, G))
+    y = np.zeros(G)  # noise-free plant output
+    ones = np.ones(G)
+    stop = np.full(G, n)  # first sample with a non-finite output
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
+        for k, r_k in enumerate(r.tolist()):
+            reg[:, 0] = r_k
+            u = forward_stacked(layers, (reg - in_offset) * in_gain)[:, 0] / out_gain + out_offset
+            if not math.isfinite(u.dot(ones)):  # a sum, not finite if any u is not
+                stop[~np.isfinite(u) & (stop == n)] = k
+                if (stop < n).all():
+                    break
+            u = np.minimum(np.maximum(u, U_MIN), U_MAX)
+            # static_map: rounding is monotonic, so this picks its value bit for bit
+            s = np.minimum(np.maximum(u - dead_zone, 0.0), span)
+            y = decay * y + drive * s
+            ys[k] = measured = y if noise is None else y + noise[k]
+            us[k] = u
+            reg[:, 2::2] = reg[:, 1:4:2]
+            reg[:, 1] = measured
+            reg[:, 3] = u
+    loops = []
+    for g, m in enumerate(stop.tolist()):
+        trace = ClosedLoopTrace(r[:m], ys[:m, g], us[:m, g])
+        if m < n:
+            trace = ControllerDivergedError(f"controller output not finite at sample {m}", trace)
+        loops.append(trace)
+    return loops
+
+
+def _lockstep_batches(jobs):
+    """Lists of indices of the jobs to run in lockstep: NeuralController loops
+    grouped by architecture, profile and whether they add noise (y + 0.0 would
+    turn -0.0 into 0.0), cut to plant.MAX_SIZE samples, and LOCKSTEP_MIN long."""
+    groups = {}
+    for i, (params, controller, profile, _) in enumerate(jobs):
+        if type(controller) is NeuralController:
+            net = controller.net
+            key = (net.layer_sizes, net.activations, profile, params.noise_sigma > 0.0)
+            groups.setdefault(key, []).append(i)
+    batches = []
+    for group in groups.values():
+        size = MAX_SIZE // len(jobs[group[0]][2])
+        batches += [group[i : i + size] for i in range(0, len(group), size)]
+    return [batch for batch in batches if len(batch) >= LOCKSTEP_MIN]
+
+
+def _summarize(summarize, loop):
+    """summarize(trace) of a loop that ran to its end, or the
+    ControllerDivergedError of the loop or of its summary."""
+    if isinstance(loop, ControllerDivergedError):
+        return loop
     try:
-        pickle.loads(pickle.dumps(exc))
+        return summarize(loop)
+    except ControllerDivergedError as exc:
         return exc
-    except Exception:
-        return ChildProcessError(f"closed-loop worker failed: {type(exc).__name__}: {exc}")
-
-
-def _serve(write_fd, jobs, summarize):
-    """Forked child: run `jobs` and send (ok, results or exception) pickled
-    down the pipe.  Every exception, an interrupt too, goes to the parent
-    instead of unwinding into the caller's stack, and the child leaves through
-    os._exit so that no inherited atexit handler or stdio buffer runs twice."""
-    status = 1
-    try:
-        try:
-            payload = pickle.dumps((True, _run_jobs(jobs, summarize)))
-        except BaseException as exc:
-            payload = pickle.dumps((False, _transportable(exc)))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _unpack(pid, payload):
-    try:
-        ok, value = pickle.loads(payload)
-    except Exception:  # nothing or a cut-off payload: the child died
-        raise ChildProcessError(f"closed-loop worker {pid} ended without its results") from None
-    if not ok:
-        raise value
-    return value
 
 
 def run_closed_loops(jobs, summarize) -> list:
-    """Run each (params, controller, profile, seed) job with run_closed_loop
-    and return, in job order, summarize(trace), or the ControllerDivergedError
-    of a loop or summary that diverged.  Any other exception is raised.
+    """Run each (params, controller, profile, seed) job as run_closed_loop
+    does and return, in job order, summarize(trace), or the
+    ControllerDivergedError of a loop or summary that diverged.  Any other
+    exception is raised.
 
-    The jobs are dealt round-robin to this process and to one forked child
-    per further CPU it may run on; each child pickles its results back over a
-    pipe.  A loop runs the same arithmetic in any process, so the results do
-    not depend on the number of CPUs.  Children inherit the controllers and
-    `summarize`, so closures work; only what `summarize` returns crosses the
-    pipe.
-    """
+    NeuralController loops of one architecture and one profile run in
+    lockstep (`_run_lockstep`), with the same bits as one at a time; every
+    other job runs run_closed_loop.  Each lockstep batch is summarized before
+    the next runs."""
     jobs = list(jobs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(len(jobs), cpus))
-    results = [None] * len(jobs)
-    children = []  # (pid, read end of its pipe)
-    try:
-        for i in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve(write_fd, jobs[i::workers], summarize)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        results[0::workers] = _run_jobs(jobs[0::workers], summarize)
-        payloads = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    for i, ((pid, _), payload) in enumerate(zip(children, payloads), start=1):
-        results[i::workers] = _unpack(pid, payload)
-    return results
+    results = {}
+    for batch in _lockstep_batches(jobs):
+        for i, loop in zip(batch, _run_lockstep([jobs[i] for i in batch])):
+            results[i] = _summarize(summarize, loop)
+    for i, job in enumerate(jobs):
+        if i not in results:
+            try:
+                loop = run_closed_loop(*job)
+            except ControllerDivergedError as exc:
+                loop = exc
+            results[i] = _summarize(summarize, loop)
+    return [results[i] for i in range(len(jobs))]
 
 
 # --- controller comparison -------------------------------------------------

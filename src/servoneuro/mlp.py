@@ -166,6 +166,36 @@ def forward(net: MlpNetwork, x) -> float:
     return float(a[0]) if net.output_width == 1 else a
 
 
+def stack_layers(nets) -> tuple:
+    """The layers of networks of one architecture, stacked for
+    `forward_stacked`: per layer (W, b, is_tanh) with W of shape
+    (G, n_out, n_in) and b of shape (G, n_out, 1), network g at index g."""
+    first = nets[0]
+    if any((net.layer_sizes, net.activations) != (first.layer_sizes, first.activations)
+           for net in nets):
+        raise ArchitectureError("stacked networks must share one architecture")
+    return tuple(
+        (np.stack([net._views[i][1] for net in nets]),
+         np.stack([net._views[i][2] for net in nets])[:, :, None], is_tanh)
+        for i, (_, _, _, is_tanh) in enumerate(first._views)
+    )
+
+
+def forward_stacked(layers, inputs: np.ndarray) -> np.ndarray:
+    """Evaluate G stacked networks (`stack_layers`) on a (G, n_in) matrix,
+    row g through network g; returns (G, n_out).  tests/test_properties.py
+    checks that row g rounds exactly like `forward` of network g.
+
+    Each layer is one np.matmul of the stacked W with the rows as column
+    vectors, which makes per network the BLAS call of `forward`'s W.dot(a)."""
+    a = inputs[:, :, None]
+    for W, b, is_tanh in layers:
+        a = np.matmul(W, a) + b
+        if is_tanh:
+            a = np.tanh(a)
+    return a[:, :, 0]
+
+
 def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
                    activations=None, out=None) -> np.ndarray:
     """Analytic Jacobian of the per-pattern errors e_p = d_p - y_p.

@@ -96,6 +96,7 @@ class TestConfigLoading:
             ("network: {init_seed: -1}", [], "init_seed"),
             ("trainer: {algorithm: early_stop, split_seed: -1}", [], "split_seed"),
             ("evaluation: {seeds: [0, -1]}", [], "seeds"),
+            ("evaluation: {seeds: [0, 1, 0]}", [], "evaluation.seeds"),
             ("trainer:", [], "trainer"),
             ("plant: 5", [], "plant"),
             ("plant: [1", [], "YAML"),
@@ -302,98 +303,70 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-class TestForkedClosedLoops:
+class TestLockstepClosedLoops:
     """control and compare write the same files, output and exit codes
-    whether their closed loops all run in the command's process (one CPU) or
-    are shared with two forked children (three CPUs)."""
+    whether their NeuralController loops run in lockstep or one at a time."""
 
-    @pytest.mark.parametrize("command", ["control", "oracle", "compare"])
-    def test_outputs_byte_identical(self, three_seed_nets, cpus, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["control", "compare", "compare-mixed"])
+    def test_outputs_byte_identical(self, three_seed_nets, tmp_path, capsys, monkeypatch,
+                                    command):
         path, nets = three_seed_nets
-        args = {"control": ["control", nets[0]], "oracle": ["control", "--oracle"],
-                "compare": ["compare", *nets]}[command]
+        if command == "compare-mixed":  # a second architecture: a group of its own
+            constant = tmp_path / "constant.net"
+            constant.write_text(_constant_net(4.0))
+            nets = [nets[0], str(constant), nets[1]]
+        args = ["control", nets[0]] if command == "control" else ["compare", *nets]
         runs = []
-        for n in (1, 3):
-            cpus(n)
-            out = tmp_path / f"cpus{n}"
+        for smallest in (1, 10**9):
+            monkeypatch.setattr(ctl, "LOCKSTEP_MIN", smallest)
+            out = tmp_path / f"lockstep_min{smallest}"
             assert run(["--config", path, "--out", str(out), *args]) == EXIT_OK
             runs.append((_files(out), capsys.readouterr().out.replace(str(out), "OUT")))
         assert runs[0] == runs[1]
-        names = ["comparison.csv"] if command == "compare" else [
+        names = ["comparison.csv"] if command != "control" else [
             "indices.csv", "trace_0.csv", "trace_1.csv", "trace_2.csv"]
         assert sorted(runs[0][0]) == names
 
     def test_divergence_at_second_seed_keeps_the_files_before_it(
-        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch
+        self, three_seed_nets, tmp_path, capsys, monkeypatch
     ):
         path, nets = three_seed_nets
-        real = ctl.run_closed_loop
+        real, calls = ctl.forward_stacked, [0]
 
-        def run_closed_loop(params, controller, profile, seed):
-            if seed == 1:  # NaN from sample 25 on
-                calls, inner = [0], controller
+        def forward_stacked(layers, inputs):  # seed 1's output is NaN from sample 25 on
+            calls[0] += 1
+            out = real(layers, inputs)
+            if calls[0] > 25:
+                out[1] = float("nan")
+            return out
 
-                def controller(regressor):
-                    calls[0] += 1
-                    return float("nan") if calls[0] > 25 else inner(regressor)
-
-            return real(params, controller, profile, seed)
-
-        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
-        runs = []
-        for n in (1, 3):
-            cpus(n)
-            out = tmp_path / f"cpus{n}"
-            assert run(["--config", path, "--out", str(out), "control", nets[0]]) == EXIT_NUMERIC
-            captured = capsys.readouterr()
-            assert "seed 1: controller output not finite at sample 25" in captured.err
-            assert "Traceback" not in captured.err
-            runs.append((_files(out), captured.out))
-        assert runs[0] == runs[1]
-        files = runs[0][0]
+        monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 1)
+        monkeypatch.setattr(ctl, "forward_stacked", forward_stacked)
+        out = tmp_path / "out"
+        assert run(["--config", path, "--out", str(out), "control", nets[0]]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "seed 1: controller output not finite at sample 25" in captured.err
+        assert "Traceback" not in captured.err
+        files = _files(out)
         assert sorted(files) == ["trace_0.csv", "trace_1.csv"]
         assert len(files["trace_0.csv"].splitlines()) == 1 + 120
         assert len(files["trace_1.csv"].splitlines()) == 1 + 25
 
-    @pytest.mark.parametrize("command", ["control", "compare"])
-    @pytest.mark.parametrize("failure", ["raises", "dies"])
-    def test_failure_in_a_child_keeps_the_exit_code_contract(
-        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch, command, failure
-    ):
-        path, nets = three_seed_nets
-        parent = os.getpid()
-        real = ctl.run_closed_loop
-
-        def run_closed_loop(params, controller, profile, seed):
-            if seed == 1 and os.getpid() != parent:
-                if failure == "dies":
-                    os._exit(9)
-                raise OSError("simulated read failure")
-            return real(params, controller, profile, seed)
-
-        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
-        cpus(3)
-        args = ["control", nets[0]] if command == "control" else ["compare", *nets]
-        assert run(["--config", path, "--out", str(tmp_path / "out"), *args]) == EXIT_IO
-        err = capsys.readouterr().err
-        expected = "ended without its results" if failure == "dies" else "simulated read failure"
-        assert "I/O error: " in err and expected in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("n_cpus", [1, 3])
+    @pytest.mark.parametrize("path_taken", ["lockstep", "one at a time"])
     def test_memory_error_is_exit_1(
-        self, three_seed_nets, cpus, tmp_path, capsys, monkeypatch, n_cpus
+        self, three_seed_nets, tmp_path, capsys, monkeypatch, path_taken
     ):
         path, nets = three_seed_nets
-        real = ctl.run_closed_loop
 
-        def run_closed_loop(params, controller, profile, seed):
-            if seed == 1:  # the parent's loop with one CPU, a child's with three
-                raise MemoryError("Unable to allocate 7.11 PiB for an array")
-            return real(params, controller, profile, seed)
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
-        monkeypatch.setattr(ctl, "run_closed_loop", run_closed_loop)
-        cpus(n_cpus)
+        if path_taken == "lockstep":
+            monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 1)
+            monkeypatch.setattr(ctl, "forward_stacked", out_of_memory)
+        else:
+            monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 10**9)
+            monkeypatch.setattr(ctl, "run_closed_loop", out_of_memory)
         assert run(["--config", path, "--out", str(tmp_path / "out"), "control", nets[0]]) \
             == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -1,6 +1,5 @@
 import csv
-import os
-import time
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from servoneuro import control as ctl
 from servoneuro import mlp
 from servoneuro.control import (
     ClosedLoopTrace,
@@ -233,31 +233,112 @@ class TestComputeIndices:
         assert err.value.trace is trace
 
 
+_ARCHITECTURES = [([5, 2, 1], ["tanh", "linear"]), ([5, 4, 1], ["tanh", "tanh"]),
+                  ([5, 3, 1], ["linear", "linear"])]
+_PLANTS = st.builds(MotorParams, gain=st.sampled_from([1.0, 0.2, 1.0e307]),
+                    tau=st.sampled_from([0.5, 0.25]), dead_zone=st.sampled_from([2.5, 3.0, 0.0]),
+                    saturation=st.sampled_from([6.5, 5.0]),
+                    noise_sigma=st.sampled_from([0.0, 0.02, 0.05]))
+
+
+@st.composite
+def _closed_loop_jobs(draw):
+    """Up to 2 * LOCKSTEP_MIN + 2 jobs on different plants.  Most controllers
+    are NeuralControllers, and most of those share one architecture, profile
+    and noise kind, so that they run in lockstep from LOCKSTEP_MIN on.  The
+    all-linear architecture diverges at once with huge weights, and later on
+    the 1e307-gain plant."""
+
+    def group():
+        return draw(st.sampled_from(_ARCHITECTURES)), draw(_profiles), draw(st.booleans())
+
+    shared = group()
+    jobs = []
+    for _ in range(draw(st.integers(1, 2 * ctl.LOCKSTEP_MIN + 2))):
+        params = draw(_PLANTS)
+        architecture, profile, noisy = shared if draw(st.integers(0, 3)) else group()
+        if noisy != (params.noise_sigma > 0.0):
+            params = dataclasses.replace(params, noise_sigma=0.02 if noisy else 0.0)
+        if draw(st.integers(0, 4)) == 0:
+            controller = analytic_inverse_controller(params)
+        else:
+            net = mlp.init_weights(*architecture, seed=draw(st.integers(0, 2**31 - 1)),
+                                   scale=draw(st.sampled_from([0.5, 3.0, 1e155])))
+            _, input_scaling, target_scaling = draw(_neural_parts())
+            controller = NeuralController(net, input_scaling, target_scaling)
+        jobs.append((params, controller, profile, draw(st.integers(0, 2**31 - 1))))
+    return jobs
+
+
+def _neural(architecture, seed, scale=0.5):
+    """A NeuralController with unit input scaling and its output about 4.5 V."""
+    net = mlp.init_weights(*architecture, seed=seed, scale=scale)
+    return NeuralController(net, AffineScaling(np.zeros(5), np.ones(5)),
+                            AffineScaling([4.5], [1.0]))
+
+
+def _trace_or_divergence(job):
+    try:
+        return run_closed_loop(*job)
+    except ControllerDivergedError as exc:
+        return exc
+
+
 class TestRunClosedLoops:
-    def test_children_match_in_process_bit_for_bit(self, cpus):
-        params = MotorParams(noise_sigma=0.05)
-        wild = lambda reg: 100.0 * np.sin(reg[0] + reg[3])
-        jobs = [(params, c, PROFILE, seed) for c in (analytic_inverse_controller(params), wild)
-                for seed in range(3)]
-        cpus(1)
-        alone = run_closed_loops(jobs, _keep)
-        cpus(3)
-        forked = run_closed_loops(jobs, _keep)
-        for a, b in zip(alone, forked, strict=True):
+    @given(jobs=_closed_loop_jobs())
+    @settings(max_examples=100, deadline=None)
+    def test_lockstep_matches_one_at_a_time_bit_for_bit(self, jobs):
+        with np.errstate(over="ignore", invalid="ignore"):  # one loop at a time may warn
+            expected = [_trace_or_divergence(job) for job in jobs]
+            got = run_closed_loops(jobs, _keep)
+        for want, have in zip(expected, got, strict=True):
+            assert type(have) is type(want)
+            if isinstance(want, ControllerDivergedError):
+                assert str(have) == str(want)
+                want, have = want.trace, have.trace
             for series in ("r", "y", "u"):
-                assert getattr(a, series).tobytes() == getattr(b, series).tobytes()
+                assert getattr(have, series).tobytes() == getattr(want, series).tobytes()
 
-    def test_jobs_dealt_round_robin_to_this_process_and_a_child_per_cpu(self, quiet, cpus):
-        cpus(3)
-        jobs = [(quiet, lambda reg: 4.0, PROFILE, seed) for seed in range(7)]
-        pids = run_closed_loops(jobs, lambda trace: os.getpid())
-        assert len(set(pids)) == 3 and pids[0] == os.getpid()
-        assert all(pids[i] == pids[i % 3] for i in range(7))
-        with pytest.raises(ChildProcessError):  # every child reaped
-            os.waitpid(-1, os.WNOHANG)
+    def test_lockstep_divergence_warns_nothing(self):
+        # On a plant whose output nears 4e307 V, two of these all-linear nets
+        # overflow, at samples 111 and 17; the third runs to the end.
+        params = MotorParams(gain=1.0e307, noise_sigma=0.0)
+        jobs = [(params, _neural(_ARCHITECTURES[2], seed, scale=3.0), PROFILE, 0)
+                for seed in (2, 0, 4)]
+        assert ctl._lockstep_batches(jobs) == [[0, 1, 2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_closed_loops(jobs, _keep)
+        assert [str(results[0]), str(results[2])] == [
+            "controller output not finite at sample 111",
+            "controller output not finite at sample 17",
+        ]
+        assert len(results[1]) == len(PROFILE)
 
-    def test_divergence_returns_with_its_partial_trace(self, quiet, cpus):
-        cpus(2)
+    def test_lockstep_groups_share_architecture_profile_and_noise_kind(self, quiet):
+        noisy = MotorParams(noise_sigma=0.02)
+        other = ReferenceProfile(((2.0, 50),))
+        small, large = _neural(_ARCHITECTURES[0], 0), _neural(_ARCHITECTURES[1], 0)
+        kinds = [(quiet, small, PROFILE), (noisy, small, PROFILE), (quiet, small, other),
+                 (quiet, large, PROFILE)]
+        jobs = [(params, controller, profile, seed)
+                for seed in range(ctl.LOCKSTEP_MIN) for params, controller, profile in kinds]
+        assert ctl._lockstep_batches(jobs) == [list(range(k, len(jobs), 4)) for k in range(4)]
+
+    def test_other_controllers_run_one_at_a_time(self, quiet):
+        class Offset(NeuralController):
+            def __call__(self, regressor):
+                return super().__call__(regressor) + 0.5
+
+        base = _neural(_ARCHITECTURES[0], 0)
+        offset = Offset(base.net, base.input_scaling, base.target_scaling)
+        jobs = [(quiet, offset, PROFILE, seed) for seed in range(ctl.LOCKSTEP_MIN)]
+        assert ctl._lockstep_batches(jobs) == []
+        trace = run_closed_loops(jobs, _keep)[0]
+        assert trace.u.tobytes() == run_closed_loop(*jobs[0]).u.tobytes()
+        assert trace.u.tobytes() != run_closed_loop(quiet, base, PROFILE, 0).u.tobytes()
+
+    def test_divergence_returns_with_its_partial_trace(self, quiet):
         oracle = analytic_inverse_controller(quiet)
         jobs = [(quiet, oracle, PROFILE, 0), (quiet, _nan_after(10, oracle), PROFILE, 1)]
         trace, diverged = run_closed_loops(jobs, _keep)
@@ -266,60 +347,23 @@ class TestRunClosedLoops:
         assert str(diverged) == "controller output not finite at sample 10"
         assert len(diverged.trace) == 10
 
-    def test_other_exception_in_a_child_reaches_the_caller(self, quiet, cpus):
+    def test_other_exception_reaches_the_caller(self, quiet):
         def bad(reg):
             raise ValueError("bad regressor")
 
-        cpus(2)
         jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
         with pytest.raises(ValueError, match="bad regressor"):
             run_closed_loops(jobs, _keep)
-        with pytest.raises(ChildProcessError):  # every child reaped
-            os.waitpid(-1, os.WNOHANG)
 
-    def test_exception_in_this_process_stops_the_children(self, quiet, cpus):
-        def bad(reg):
-            raise ValueError("bad regressor")
-
-        def slow(reg, calls=[0]):
-            calls[0] += 1
-            if calls[0] == 1:
-                time.sleep(20)
-            return 4.0
-
-        cpus(2)
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="bad regressor"):
-            run_closed_loops([(quiet, bad, PROFILE, 0), (quiet, slow, PROFILE, 1)], _keep)
-        assert time.monotonic() - start < 10  # the child was killed, not awaited
-        with pytest.raises(ChildProcessError):  # and reaped
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_unpicklable_exception_is_named(self, quiet, cpus):
-        class NeedsTwo(Exception):
-            def __init__(self, a, b):
-                super().__init__(f"{a} {b}")
-
-        def bad(reg):
-            raise NeedsTwo("left", "right")
-
-        cpus(2)
-        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
-        with pytest.raises(ChildProcessError, match="NeedsTwo: left right"):
-            run_closed_loops(jobs, _keep)
-
-    def test_child_that_dies_is_an_error(self, quiet, cpus):
-        parent = os.getpid()
-
-        def die(reg):
-            if os.getpid() == parent:  # never end the test process itself
-                raise AssertionError("job ran in the parent")
-            os._exit(7)
-
-        cpus(2)
-        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, die, PROFILE, 1)]
-        with pytest.raises(ChildProcessError, match="ended without its results"):
-            run_closed_loops(jobs, _keep)
+    def test_lockstep_batches_hold_at_most_max_size_samples(self, quiet, monkeypatch):
+        monkeypatch.setattr(ctl, "MAX_SIZE", 2 * len(PROFILE))
+        neural = _neural(_ARCHITECTURES[0], seed=0)
+        jobs = [(quiet, neural, PROFILE, seed) for seed in range(7)]
+        jobs.insert(3, (quiet, analytic_inverse_controller(quiet), PROFILE, 0))
+        monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 2)
+        assert ctl._lockstep_batches(jobs) == [[0, 1], [2, 4], [5, 6]]
+        monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 3)
+        assert ctl._lockstep_batches(jobs) == []
 
 
 class TestCompareControllers:
@@ -350,25 +394,38 @@ class TestCompareControllers:
         assert broken_rows[0].error is not None
         assert report.ranking[0] == "oracle"
 
-    def test_forked_report_equals_in_process(self, quiet, cpus):
-        controllers = [("constant", lambda reg: 4.0),
-                       ("oracle", analytic_inverse_controller(quiet))]
+    def test_lockstep_report_equals_one_at_a_time(self, monkeypatch):
+        params = MotorParams(noise_sigma=0.02)
+        controllers = [(str(seed), _neural(_ARCHITECTURES[0], seed)) for seed in range(3)]
+        controllers.append(("oracle", analytic_inverse_controller(params)))
         reports = []
-        for n in (1, 3):
-            cpus(n)
-            reports.append(compare_controllers(quiet, controllers, PROFILE, seeds=[0, 1, 2]))
+        for smallest in (1, 10**9):
+            monkeypatch.setattr(ctl, "LOCKSTEP_MIN", smallest)
+            reports.append(compare_controllers(params, controllers, PROFILE, seeds=[0, 1, 2]))
         assert reports[0].rows == reports[1].rows
         assert reports[0].medians == reports[1].medians
 
-    def test_overflowing_index_is_an_error_row(self, cpus):
+    def test_overflowing_index_is_an_error_row(self):
         params = MotorParams(gain=1.0e307)
-        cpus(2)
         report = compare_controllers(
             params, [("high", lambda reg: 7.0), ("low", lambda reg: 2.0)], PROFILE, seeds=[0, 1]
         )
         high = [r for r in report.rows if r.name == "high"]
         assert all("not finite" in r.error for r in high)
         assert report.medians["high"] == (float("inf"), float("inf"))
+        assert report.ranking == ["low", "high"]
+
+    def test_overflowing_index_in_lockstep_is_an_error_row(self):
+        params = MotorParams(gain=1.0e307)
+        high, low = (NeuralController(mlp.MlpNetwork([5, 1], ["linear"], [0.0] * 5 + [volts]),
+                                      AffineScaling(np.zeros(5), np.ones(5)),
+                                      AffineScaling([0.0], [1.0])) for volts in (7.0, 2.0))
+        seeds = range(ctl.LOCKSTEP_MIN)
+        jobs = [(params, c, PROFILE, seed) for c in (high, low) for seed in seeds]
+        assert ctl._lockstep_batches(jobs) == [list(range(len(jobs)))]
+        report = compare_controllers(params, [("high", high), ("low", low)], PROFILE, seeds)
+        assert all("mean_abs_error = inf" in r.error for r in report.rows if r.name == "high")
+        assert all(r.error is None for r in report.rows if r.name == "low")
         assert report.ranking == ["low", "high"]
 
     def test_needs_two_controllers(self, quiet):

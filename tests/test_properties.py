@@ -87,6 +87,29 @@ def test_forward_matches_forward_batch_bit_for_bit(net, seed, log_scale):
     assert _bits(single) == _bits(row[0] if net.output_width == 1 else row)
 
 
+@given(net=networks(), n_nets=st.integers(1, 8), seed=st.integers(0, 2**31 - 1),
+       log_scale=st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_forward_stacked_matches_forward_bit_for_bit(net, n_nets, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    scale = float(np.abs(net.weights).max())
+    nets = [net] + [net.with_weights(rng.uniform(-scale, scale, net.n_weights))
+                    for _ in range(n_nets - 1)]
+    X = rng.normal(size=(n_nets, net.input_width)) * 10.0**log_scale
+    stacked = mlp.forward_stacked(mlp.stack_layers(nets), X)
+    assert stacked.shape == (n_nets, net.output_width)
+    for each, x, row in zip(nets, X, stacked):
+        single = mlp.forward(each, x)
+        assert _bits(single) == _bits(row[0] if each.output_width == 1 else row)
+
+
+def test_stack_layers_rejects_mixed_architectures():
+    tanh = mlp.init_weights([5, 3, 1], ["tanh", "linear"], seed=0, scale=0.5)
+    linear = mlp.init_weights([5, 3, 1], ["linear", "linear"], seed=0, scale=0.5)
+    with pytest.raises(mlp.ArchitectureError, match="one architecture"):
+        mlp.stack_layers([tanh, linear])
+
+
 @given(
     net=networks(input_width=5, output_width=1),
     seed=st.integers(0, 2**31 - 1),
