@@ -328,10 +328,8 @@ def cmd_control(config, args) -> int:
         controller = _load_controller(args.network)
     profile = config.evaluation.profile
     seeds = config.evaluation.seeds
-    results = ctl.run_closed_loops(
-        [(plant, controller, profile, seed) for seed in seeds],
-        lambda trace: (trace, ctl.compute_indices(trace)),
-    )
+    results = ctl.run_closed_loops(plant, profile, [(controller, seed) for seed in seeds],
+                                   lambda trace: (trace, ctl.compute_indices(trace)))
     rows = []
     for seed, result in zip(seeds, results):
         if isinstance(result, ctl.ControllerDivergedError):
@@ -362,6 +360,9 @@ def cmd_control(config, args) -> int:
 def cmd_compare(config, args) -> int:
     if len(args.networks) < 2:
         raise ConfigError("need at least two network files to compare")
+    for i, path in enumerate(args.networks):
+        if path in args.networks[:i]:
+            raise ConfigError(f"network file {path} is given more than once")
     out = _ensure_outdir(config)
     controllers = [(path, _load_controller(path)) for path in args.networks]
     report = ctl.compare_controllers(

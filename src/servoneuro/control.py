@@ -197,33 +197,31 @@ def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:
 LOCKSTEP_MIN = 3
 
 
-def _run_lockstep(jobs) -> list:
-    """run_closed_loop for NeuralController jobs of one architecture, one
-    profile and either all or no noise, all loops in one pass over the
-    samples; returns each loop's trace or its ControllerDivergedError.
+def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
+    """run_closed_loop for (NeuralController, seed) jobs of one architecture,
+    all loops in one pass over the samples; returns each loop's trace or its
+    ControllerDivergedError.
 
     Each layer of the controllers is one `forward_stacked` call for the whole
     group; everything else is elementwise and makes the IEEE operations of
     run_closed_loop in its order, so each loop gets the same bits.  A loop
     whose output is not finite stops there; the others go on."""
-    params = [job[0] for job in jobs]
-    controllers = [job[1] for job in jobs]
-    r = jobs[0][2].series()
+    controllers = [c for c, _ in jobs]
+    r = profile.series()
     n, G = r.size, len(jobs)
     in_offset = np.array([c._in_offset for c in controllers])
     in_gain = np.array([c._in_gain for c in controllers])
     out_gain = np.array([c._out_gain for c in controllers])
     out_offset = np.array([c._out_offset for c in controllers])
     layers = stack_layers([c.net for c in controllers])
-    decay = np.array([p.decay for p in params])
-    drive = np.array([(1.0 - p.decay) * p.gain for p in params])  # advance's ((1-a)*gain)*s
-    dead_zone = np.array([p.dead_zone for p in params])
-    span = np.array([p.saturation - p.dead_zone for p in params])
-    noise = None
-    if params[0].noise_sigma > 0.0:
+    decay = params.decay
+    drive = (1.0 - decay) * params.gain  # advance's ((1-a)*gain)*s
+    span = params.saturation - params.dead_zone
+    noise = None  # as in run_closed_loop, sigma 0 adds nothing (y + 0.0 turns -0.0 into 0.0)
+    if params.noise_sigma > 0.0:
         noise = np.empty((n, G))
-        for g, (p, job) in enumerate(zip(params, jobs)):
-            noise[:, g] = np.random.default_rng(job[3]).normal(0.0, p.noise_sigma, n)
+        for g, (_, seed) in enumerate(jobs):
+            noise[:, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
     # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)]
     reg = np.empty((G, REGRESSOR_WIDTH))
     reg[:, 1:3] = 0.0
@@ -243,7 +241,7 @@ def _run_lockstep(jobs) -> list:
                     break
             u = np.minimum(np.maximum(u, U_MIN), U_MAX)
             # static_map: rounding is monotonic, so this picks its value bit for bit
-            s = np.minimum(np.maximum(u - dead_zone, 0.0), span)
+            s = np.minimum(np.maximum(u - params.dead_zone, 0.0), span)
             y = decay * y + drive * s
             ys[k] = measured = y if noise is None else y + noise[k]
             us[k] = u
@@ -259,20 +257,17 @@ def _run_lockstep(jobs) -> list:
     return loops
 
 
-def _lockstep_batches(jobs):
+def _lockstep_batches(profile: ReferenceProfile, jobs):
     """Lists of indices of the jobs to run in lockstep: NeuralController loops
-    grouped by architecture, profile and whether they add noise (y + 0.0 would
-    turn -0.0 into 0.0), cut to plant.MAX_SIZE samples, and LOCKSTEP_MIN long."""
+    grouped by architecture, cut to plant.MAX_SIZE samples, and LOCKSTEP_MIN long."""
     groups = {}
-    for i, (params, controller, profile, _) in enumerate(jobs):
+    for i, (controller, _) in enumerate(jobs):
         if type(controller) is NeuralController:
             net = controller.net
-            key = (net.layer_sizes, net.activations, profile, params.noise_sigma > 0.0)
-            groups.setdefault(key, []).append(i)
-    batches = []
-    for group in groups.values():
-        size = MAX_SIZE // len(jobs[group[0]][2])
-        batches += [group[i : i + size] for i in range(0, len(group), size)]
+            groups.setdefault((net.layer_sizes, net.activations), []).append(i)
+    size = MAX_SIZE // len(profile)
+    batches = [group[i : i + size] for group in groups.values()
+               for i in range(0, len(group), size)]
     return [batch for batch in batches if len(batch) >= LOCKSTEP_MIN]
 
 
@@ -287,25 +282,24 @@ def _summarize(summarize, loop):
         return exc
 
 
-def run_closed_loops(jobs, summarize) -> list:
-    """Run each (params, controller, profile, seed) job as run_closed_loop
-    does and return, in job order, summarize(trace), or the
+def run_closed_loops(params: MotorParams, profile: ReferenceProfile, jobs, summarize) -> list:
+    """Run each (controller, seed) job as run_closed_loop does on `params`
+    and `profile` and return, in job order, summarize(trace), or the
     ControllerDivergedError of a loop or summary that diverged.  Any other
     exception is raised.
 
-    NeuralController loops of one architecture and one profile run in
-    lockstep (`_run_lockstep`), with the same bits as one at a time; every
-    other job runs run_closed_loop.  Each lockstep batch is summarized before
-    the next runs."""
-    jobs = list(jobs)
+    NeuralController loops of one architecture run in lockstep
+    (`_run_lockstep`), with the same bits as one at a time; every other job
+    runs run_closed_loop.  Each lockstep batch is summarized before the next
+    runs."""
     results = {}
-    for batch in _lockstep_batches(jobs):
-        for i, loop in zip(batch, _run_lockstep([jobs[i] for i in batch])):
+    for batch in _lockstep_batches(profile, jobs):
+        for i, loop in zip(batch, _run_lockstep(params, profile, [jobs[i] for i in batch])):
             results[i] = _summarize(summarize, loop)
-    for i, job in enumerate(jobs):
+    for i, (controller, seed) in enumerate(jobs):
         if i not in results:
             try:
-                loop = run_closed_loop(*job)
+                loop = run_closed_loop(params, controller, profile, seed)
             except ControllerDivergedError as exc:
                 loop = exc
             results[i] = _summarize(summarize, loop)
@@ -353,10 +347,14 @@ def compare_controllers(
     recorded with its error message and excluded from the medians."""
     if len(controllers) < 2:
         raise ValueError("need at least two controllers to compare")
-    keys = [(name, seed) for name, _ in controllers for seed in seeds]
-    jobs = [(params, controller, profile, seed) for _, controller in controllers for seed in seeds]
+    names = [name for name, _ in controllers]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"controller {name!r} is named more than once")
+    keys = [(name, seed) for name in names for seed in seeds]
+    jobs = [(controller, seed) for _, controller in controllers for seed in seeds]
     rows = []
-    for (name, seed), idx in zip(keys, run_closed_loops(jobs, compute_indices)):
+    for (name, seed), idx in zip(keys, run_closed_loops(params, profile, jobs, compute_indices)):
         if isinstance(idx, ControllerDivergedError):
             rows.append(ComparisonRow(name, seed, None, None, str(idx)))
         else:

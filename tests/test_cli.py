@@ -272,6 +272,16 @@ class TestTrainControlCompare:
         assert run(["--config", path, "compare", str(net_a), str(net_b)]) == EXIT_OK
         assert (out / "comparison.csv").read_bytes() == first
 
+    def test_compare_rejects_a_repeated_network(self, fast_config, tmp_path, capsys):
+        path, out = fast_config
+        nets = [tmp_path / "a.net", tmp_path / "b.net"]
+        for net, volts in zip(nets, (4.0, 5.0)):
+            net.write_text(_constant_net(volts))
+        args = ["--config", path, "compare", str(nets[0]), str(nets[1]), str(nets[0])]
+        assert run(args) == EXIT_CONFIG
+        assert f"network file {nets[0]} is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_unreadable_network_lists_path(self, fast_config, capsys):
         path, out = fast_config
         run(["--config", path, "collect"])
@@ -618,14 +628,14 @@ _yaml_values = st.one_of(
 
 
 @st.composite
-def _evaluations(draw):
-    """A valid evaluation block, then at most one spoilt part: a level or a
-    duration of any YAML type, a missing or an extra key, or an entry, the
-    profile or the seeds replaced by any YAML value."""
+def _evaluations(draw, seeds=st.lists(st.integers(0, 3), min_size=1, max_size=2)):
+    """A valid evaluation block with seeds drawn from `seeds`, then at most
+    one spoilt part: a level or a duration of any YAML type, a missing or an
+    extra key, or an entry, the profile or the seeds replaced by any YAML
+    value."""
     profile = draw(st.lists(st.fixed_dictionaries(
         {"level": st.floats(-10, 10), "duration": st.integers(1, 50)}), min_size=1, max_size=3))
-    evaluation = {"profile": profile, "seeds": draw(st.lists(st.integers(0, 3), min_size=1,
-                                                            max_size=2))}
+    evaluation = {"profile": profile, "seeds": draw(seeds)}
     i = draw(st.integers(0, len(profile) - 1))
     spoil = draw(st.sampled_from(
         ["none", "level", "duration", "missing", "extra", "entry", "profile", "seeds"]))
@@ -664,6 +674,51 @@ def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation):
     assert code in (EXIT_OK, EXIT_CONFIG) or (
         code == EXIT_NUMERIC and "controller output not finite" in err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Valid values of each plant key; any combination of them is a valid plant.
+# On the 1e307-gain plant a network that drives the output past the dead
+# zone has an index that overflows.
+_PLANT_VALUES = {
+    "gain": [0.5, 1.0, 1e307], "tau": [0.25, 0.5], "ts": [0.05, 0.1],
+    "dead_zone": [0.0, 2.5, 3.0], "saturation": [5.0, 6.5], "noise_sigma": [0.0, 0.02, 0.1],
+}
+
+
+@st.composite
+def _plants(draw):
+    """A valid plant block of up to three keys, then at most one value
+    replaced by a number near MotorParams' checks or by any YAML value."""
+    keys = draw(st.lists(st.sampled_from(sorted(_PLANT_VALUES)), max_size=3, unique=True))
+    plant = {key: draw(st.sampled_from(_PLANT_VALUES[key])) for key in keys}
+    if keys and draw(st.booleans()):
+        plant[draw(st.sampled_from(keys))] = draw(st.one_of(st.floats(-1, 10), _yaml_values))
+    return plant
+
+
+@given(evaluation=_evaluations(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True)),
+       plant=_plants())
+@settings(max_examples=60, deadline=None)
+@example(evaluation={"profile": [{"level": 1.0, "duration": 50}], "seeds": [0, 1]},
+         plant={"gain": 1e307})
+def test_compare_evaluation_and_plant_exit_code_contract(fuzz_dir, evaluation, plant):
+    """compare of two networks over at least two seeds (four or more loops,
+    in lockstep) runs (exit 0; an index that overflows is an error row) or
+    is a config error (exit 1); no traceback reaches stderr."""
+    nets = [fuzz_dir / "low.net", fuzz_dir / "high.net"]
+    for net, volts in zip(nets, (4.0, 7.0)):
+        net.write_text(_constant_net(volts))
+    path = fuzz_dir / "compare.yaml"
+    path.write_text(yaml.safe_dump({"evaluation": evaluation, "plant": plant}))
+    out = fuzz_dir / "compare"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(out), "compare", *map(str, nets)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * len(evaluation["seeds"])
 
 
 # --- exit-code contract of the trainer block -------------------------------

@@ -243,31 +243,26 @@ _PLANTS = st.builds(MotorParams, gain=st.sampled_from([1.0, 0.2, 1.0e307]),
 
 @st.composite
 def _closed_loop_jobs(draw):
-    """Up to 2 * LOCKSTEP_MIN + 2 jobs on different plants.  Most controllers
-    are NeuralControllers, and most of those share one architecture, profile
-    and noise kind, so that they run in lockstep from LOCKSTEP_MIN on.  The
-    all-linear architecture diverges at once with huge weights, and later on
-    the 1e307-gain plant."""
-
-    def group():
-        return draw(st.sampled_from(_ARCHITECTURES)), draw(_profiles), draw(st.booleans())
-
-    shared = group()
+    """A plant, a profile and up to 2 * LOCKSTEP_MIN + 2 (controller, seed)
+    jobs on them.  Most controllers are NeuralControllers, and most of those
+    share one architecture, so that they run in lockstep from LOCKSTEP_MIN
+    on.  The all-linear architecture diverges at once with huge weights, and
+    later on the 1e307-gain plant."""
+    params, profile = draw(_PLANTS), draw(_profiles)
+    shared = draw(st.sampled_from(_ARCHITECTURES))
     jobs = []
     for _ in range(draw(st.integers(1, 2 * ctl.LOCKSTEP_MIN + 2))):
-        params = draw(_PLANTS)
-        architecture, profile, noisy = shared if draw(st.integers(0, 3)) else group()
-        if noisy != (params.noise_sigma > 0.0):
-            params = dataclasses.replace(params, noise_sigma=0.02 if noisy else 0.0)
         if draw(st.integers(0, 4)) == 0:
             controller = analytic_inverse_controller(params)
         else:
+            architecture = shared if draw(st.integers(0, 3)) else draw(
+                st.sampled_from(_ARCHITECTURES))
             net = mlp.init_weights(*architecture, seed=draw(st.integers(0, 2**31 - 1)),
                                    scale=draw(st.sampled_from([0.5, 3.0, 1e155])))
             _, input_scaling, target_scaling = draw(_neural_parts())
             controller = NeuralController(net, input_scaling, target_scaling)
-        jobs.append((params, controller, profile, draw(st.integers(0, 2**31 - 1))))
-    return jobs
+        jobs.append((controller, draw(st.integers(0, 2**31 - 1))))
+    return params, profile, jobs
 
 
 def _neural(architecture, seed, scale=0.5):
@@ -277,20 +272,22 @@ def _neural(architecture, seed, scale=0.5):
                             AffineScaling([4.5], [1.0]))
 
 
-def _trace_or_divergence(job):
+def _trace_or_divergence(params, controller, profile, seed):
     try:
-        return run_closed_loop(*job)
+        return run_closed_loop(params, controller, profile, seed)
     except ControllerDivergedError as exc:
         return exc
 
 
 class TestRunClosedLoops:
-    @given(jobs=_closed_loop_jobs())
+    @given(case=_closed_loop_jobs())
     @settings(max_examples=100, deadline=None)
-    def test_lockstep_matches_one_at_a_time_bit_for_bit(self, jobs):
+    def test_lockstep_matches_one_at_a_time_bit_for_bit(self, case):
+        params, profile, jobs = case
         with np.errstate(over="ignore", invalid="ignore"):  # one loop at a time may warn
-            expected = [_trace_or_divergence(job) for job in jobs]
-            got = run_closed_loops(jobs, _keep)
+            expected = [_trace_or_divergence(params, controller, profile, seed)
+                        for controller, seed in jobs]
+            got = run_closed_loops(params, profile, jobs, _keep)
         for want, have in zip(expected, got, strict=True):
             assert type(have) is type(want)
             if isinstance(want, ControllerDivergedError):
@@ -303,27 +300,24 @@ class TestRunClosedLoops:
         # On a plant whose output nears 4e307 V, two of these all-linear nets
         # overflow, at samples 111 and 17; the third runs to the end.
         params = MotorParams(gain=1.0e307, noise_sigma=0.0)
-        jobs = [(params, _neural(_ARCHITECTURES[2], seed, scale=3.0), PROFILE, 0)
-                for seed in (2, 0, 4)]
-        assert ctl._lockstep_batches(jobs) == [[0, 1, 2]]
+        jobs = [(_neural(_ARCHITECTURES[2], seed, scale=3.0), 0) for seed in (2, 0, 4)]
+        assert ctl._lockstep_batches(PROFILE, jobs) == [[0, 1, 2]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = run_closed_loops(jobs, _keep)
+            results = run_closed_loops(params, PROFILE, jobs, _keep)
         assert [str(results[0]), str(results[2])] == [
             "controller output not finite at sample 111",
             "controller output not finite at sample 17",
         ]
         assert len(results[1]) == len(PROFILE)
 
-    def test_lockstep_groups_share_architecture_profile_and_noise_kind(self, quiet):
-        noisy = MotorParams(noise_sigma=0.02)
-        other = ReferenceProfile(((2.0, 50),))
-        small, large = _neural(_ARCHITECTURES[0], 0), _neural(_ARCHITECTURES[1], 0)
-        kinds = [(quiet, small, PROFILE), (noisy, small, PROFILE), (quiet, small, other),
-                 (quiet, large, PROFILE)]
-        jobs = [(params, controller, profile, seed)
-                for seed in range(ctl.LOCKSTEP_MIN) for params, controller, profile in kinds]
-        assert ctl._lockstep_batches(jobs) == [list(range(k, len(jobs), 4)) for k in range(4)]
+    def test_lockstep_groups_share_architecture(self):
+        # layer sizes and activations both set the group; the weights do not
+        architectures = [_ARCHITECTURES[0], _ARCHITECTURES[1], ([5, 2, 1], ["tanh", "tanh"])]
+        jobs = [(_neural(architecture, seed), seed)
+                for seed in range(ctl.LOCKSTEP_MIN) for architecture in architectures]
+        assert ctl._lockstep_batches(PROFILE, jobs) == [
+            list(range(k, len(jobs), 3)) for k in range(3)]
 
     def test_other_controllers_run_one_at_a_time(self, quiet):
         class Offset(NeuralController):
@@ -332,16 +326,16 @@ class TestRunClosedLoops:
 
         base = _neural(_ARCHITECTURES[0], 0)
         offset = Offset(base.net, base.input_scaling, base.target_scaling)
-        jobs = [(quiet, offset, PROFILE, seed) for seed in range(ctl.LOCKSTEP_MIN)]
-        assert ctl._lockstep_batches(jobs) == []
-        trace = run_closed_loops(jobs, _keep)[0]
-        assert trace.u.tobytes() == run_closed_loop(*jobs[0]).u.tobytes()
+        jobs = [(offset, seed) for seed in range(ctl.LOCKSTEP_MIN)]
+        assert ctl._lockstep_batches(PROFILE, jobs) == []
+        trace = run_closed_loops(quiet, PROFILE, jobs, _keep)[0]
+        assert trace.u.tobytes() == run_closed_loop(quiet, offset, PROFILE, 0).u.tobytes()
         assert trace.u.tobytes() != run_closed_loop(quiet, base, PROFILE, 0).u.tobytes()
 
     def test_divergence_returns_with_its_partial_trace(self, quiet):
         oracle = analytic_inverse_controller(quiet)
-        jobs = [(quiet, oracle, PROFILE, 0), (quiet, _nan_after(10, oracle), PROFILE, 1)]
-        trace, diverged = run_closed_loops(jobs, _keep)
+        jobs = [(oracle, 0), (_nan_after(10, oracle), 1)]
+        trace, diverged = run_closed_loops(quiet, PROFILE, jobs, _keep)
         assert len(trace) == len(PROFILE)
         assert isinstance(diverged, ControllerDivergedError)
         assert str(diverged) == "controller output not finite at sample 10"
@@ -351,19 +345,19 @@ class TestRunClosedLoops:
         def bad(reg):
             raise ValueError("bad regressor")
 
-        jobs = [(quiet, lambda reg: 4.0, PROFILE, 0), (quiet, bad, PROFILE, 1)]
+        jobs = [(lambda reg: 4.0, 0), (bad, 1)]
         with pytest.raises(ValueError, match="bad regressor"):
-            run_closed_loops(jobs, _keep)
+            run_closed_loops(quiet, PROFILE, jobs, _keep)
 
     def test_lockstep_batches_hold_at_most_max_size_samples(self, quiet, monkeypatch):
         monkeypatch.setattr(ctl, "MAX_SIZE", 2 * len(PROFILE))
         neural = _neural(_ARCHITECTURES[0], seed=0)
-        jobs = [(quiet, neural, PROFILE, seed) for seed in range(7)]
-        jobs.insert(3, (quiet, analytic_inverse_controller(quiet), PROFILE, 0))
+        jobs = [(neural, seed) for seed in range(7)]
+        jobs.insert(3, (analytic_inverse_controller(quiet), 0))
         monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 2)
-        assert ctl._lockstep_batches(jobs) == [[0, 1], [2, 4], [5, 6]]
+        assert ctl._lockstep_batches(PROFILE, jobs) == [[0, 1], [2, 4], [5, 6]]
         monkeypatch.setattr(ctl, "LOCKSTEP_MIN", 3)
-        assert ctl._lockstep_batches(jobs) == []
+        assert ctl._lockstep_batches(PROFILE, jobs) == []
 
 
 class TestCompareControllers:
@@ -421,16 +415,21 @@ class TestCompareControllers:
                                       AffineScaling(np.zeros(5), np.ones(5)),
                                       AffineScaling([0.0], [1.0])) for volts in (7.0, 2.0))
         seeds = range(ctl.LOCKSTEP_MIN)
-        jobs = [(params, c, PROFILE, seed) for c in (high, low) for seed in seeds]
-        assert ctl._lockstep_batches(jobs) == [list(range(len(jobs)))]
+        jobs = [(c, seed) for c in (high, low) for seed in seeds]
+        assert ctl._lockstep_batches(PROFILE, jobs) == [list(range(len(jobs)))]
         report = compare_controllers(params, [("high", high), ("low", low)], PROFILE, seeds)
         assert all("mean_abs_error = inf" in r.error for r in report.rows if r.name == "high")
         assert all(r.error is None for r in report.rows if r.name == "low")
         assert report.ranking == ["low", "high"]
 
-    def test_needs_two_controllers(self, quiet):
-        with pytest.raises(ValueError):
-            compare_controllers(quiet, [("only", lambda r: 4.0)], PROFILE, seeds=[0])
+    @pytest.mark.parametrize("names, message", [
+        (["only"], "at least two controllers"),
+        (["a", "b", "a"], "controller 'a' is named more than once"),
+    ])
+    def test_needs_two_controllers_of_distinct_names(self, quiet, names, message):
+        controllers = [(name, lambda r: 4.0) for name in names]
+        with pytest.raises(ValueError, match=message):
+            compare_controllers(quiet, controllers, PROFILE, seeds=[0])
 
 
 class TestCsvExports:
