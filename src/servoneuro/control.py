@@ -156,20 +156,21 @@ def run_closed_loop(
     u1 = u2 = U_MIN
     ys = []
     us = []
-    for k, r_k in enumerate(r.tolist()):
-        u = float(controller((r_k, y_now, y_prev, u1, u2)))
-        if not math.isfinite(u):
-            partial = ClosedLoopTrace(r[:k], ys, us)
-            raise ControllerDivergedError(
-                f"controller output not finite at sample {k}", partial
-            )
-        u = min(max(u, U_MIN), U_MAX)
-        y_state = advance(params, y_state, u)
-        measured = y_state if noise is None else y_state + noise[k]
-        ys.append(measured)
-        us.append(u)
-        y_prev, y_now = y_now, measured
-        u2, u1 = u1, u
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
+        for k, r_k in enumerate(r.tolist()):
+            u = float(controller((r_k, y_now, y_prev, u1, u2)))
+            if not math.isfinite(u):
+                partial = ClosedLoopTrace(r[:k], ys, us)
+                raise ControllerDivergedError(
+                    f"controller output not finite at sample {k}", partial
+                )
+            u = min(max(u, U_MIN), U_MAX)
+            y_state = advance(params, y_state, u)
+            measured = y_state if noise is None else y_state + noise[k]
+            ys.append(measured)
+            us.append(u)
+            y_prev, y_now = y_now, measured
+            u2, u1 = u1, u
     return ClosedLoopTrace(r, ys, us)
 
 

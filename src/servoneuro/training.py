@@ -212,31 +212,31 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
 
     Minimizes F = alpha*sum(e^2)/(2*norm) + beta*w'w.  Each epoch forms J'J
     and J'e once; each lambda trial solves the damped system and keeps the
-    candidate only if F drops, otherwise raises lambda and retries, giving up
-    with LAMBDA_OVERFLOW once lambda passes lambda_max.
+    candidate network only if F drops, otherwise raises lambda and retries,
+    giving up with LAMBDA_OVERFLOW once lambda passes lambda_max.
 
-    `reestimate(epoch, H, lam, sse, ww, alpha, beta)` runs once per epoch,
-    before the first lambda trial, with the Hessian of the current objective,
-    and returns (alpha, beta, gamma) for that epoch.  A LinAlgError there is a
-    failed trial: lambda is raised and the re-estimate retried.
-    `epoch_hook(epoch, w, rec)` runs after each accepted epoch and may return
-    True to request an early stop.  Returns (weights, records, stop reason).
+    `reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)` runs once per epoch,
+    before the first lambda trial, and returns (alpha, beta, gamma) for that
+    epoch.  A LinAlgError there is a failed trial: lambda is raised and the
+    re-estimate retried.  `epoch_hook(epoch, net, rec)` runs after each
+    accepted epoch and may return True to request an early stop.  Returns
+    (network, records, stop reason).
     """
 
     def objective(sse, ww):  # with alpha and beta as re-estimated so far
         return alpha * (sse / (2.0 * norm)) + beta * ww
 
-    def losses(w, acts):  # (e, sse, ww); an overflow is inf, which callers check
+    def evaluate(net):  # (acts, e, sse, ww); an overflow is inf, which callers check
+        acts = forward_layers(net, X)
         e = (D - acts[-1]).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            return e, float(np.dot(e, e)), float(np.dot(w, w))
+            return acts, e, float(np.dot(e, e)), float(np.dot(net.weights, net.weights))
 
     P = X.shape[0]
-    w = net.weights.copy()
+    net = net.with_weights(net.weights.copy())
     lam = lm.lambda_init
     records = []
-    acts = forward_layers(net, X)
-    e, sse, ww = losses(w, acts)
+    acts, e, sse, ww = evaluate(net)
     if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError(
             "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS)
@@ -249,28 +249,26 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     # it between epochs lets the allocator return and re-fault the pages.
     J = np.empty((P, net.n_weights))
     for epoch in range(1, lm.max_epochs + 1):
-        # acts are the accepted weights' activations, so J needs no forward pass
-        error_jacobian(net.with_weights(w), X, D, acts, J)
+        # acts are the accepted network's activations, so J needs no forward pass
+        error_jacobian(net, X, D, acts, J)
         JtJ, Jte = J.T @ J, J.T @ e
         system = None
         while True:
             try:
                 if system is None:
-                    if reestimate is not None:  # H at the old alpha, beta; the step's at the new
-                        H = _hessian(JtJ, alpha / norm, beta)
-                        alpha, beta, gamma = reestimate(epoch, H, lam, sse, ww, alpha, beta)
+                    if reestimate is not None:  # at the old alpha, beta; the step at the new
+                        alpha, beta, gamma = reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)
                     f = objective(sse, ww)
                     scale = alpha / norm
-                    system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * w
-                w_cand = w + _solve_step(*system, lam)
-                acts_cand = forward_layers(net.with_weights(w_cand), X)
-                e_cand, sse_cand, ww_cand = losses(w_cand, acts_cand)
-                f_cand = objective(sse_cand, ww_cand)
+                    system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * net.weights
+                cand = net.with_weights(net.weights + _solve_step(*system, lam))
+                evaluated = evaluate(cand)
+                f_cand = objective(*evaluated[2:])
                 ok = np.isfinite(f_cand) and f_cand < f
             except np.linalg.LinAlgError:
                 ok = False
             if ok:
-                w, acts, e, sse, ww, f = w_cand, acts_cand, e_cand, sse_cand, ww_cand, f_cand
+                net, (acts, e, sse, ww), f = cand, evaluated, f_cand
                 lam = max(lam * lm.lambda_decrease, _TINY)
                 break
             lam *= lm.lambda_increase
@@ -284,7 +282,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         rec = EpochRecord(epoch, ed, ww, f, lam)
         if reestimate is not None:
             rec.alpha, rec.beta, rec.gamma = alpha, beta, gamma
-        hook_stop = bool(epoch_hook(epoch, w, rec)) if epoch_hook else False
+        hook_stop = bool(epoch_hook(epoch, net, rec)) if epoch_hook else False
         records.append(rec)
         if ed <= lm.goal_ed:
             stop = StopReason.GOAL_REACHED
@@ -292,14 +290,14 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         if hook_stop:
             stop = StopReason.EARLY_STOP
             break
-    return w, records, stop
+    return net, records, stop
 
 
 def train_lm(net: MlpNetwork, data: Dataset, cfg: LmConfig):
     """Plain Levenberg-Marquardt on E_D."""
     X, D = data.scaled_inputs(), data.scaled_targets()
-    w, records, stop = _gauss_newton(net, X, D, cfg, data.n_patterns)
-    return net.with_weights(w), TrainReport(records, stop)
+    net, records, stop = _gauss_newton(net, X, D, cfg, data.n_patterns)
+    return net, TrainReport(records, stop)
 
 
 def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
@@ -312,22 +310,21 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
     Xv, Dv = val_set.scaled_inputs(), val_set.scaled_targets()
 
     best_val = np.inf
-    best_w = net.weights.copy()
+    best = net.with_weights(net.weights.copy())
     prev_val = np.inf
     rises = 0
 
-    def hook(epoch, w, rec):
-        nonlocal best_val, best_w, prev_val, rises
-        val = rec.val_ed = _ed(net.with_weights(w), Xv, Dv)
+    def hook(epoch, net, rec):  # the driver never edits an accepted network
+        nonlocal best_val, best, prev_val, rises
+        val = rec.val_ed = _ed(net, Xv, Dv)
         if val < best_val:
-            best_val = val
-            best_w = w.copy()
+            best_val, best = val, net
         rises = rises + 1 if val > prev_val else 0
         prev_val = val
         return rises >= cfg.patience
 
     _, records, stop = _gauss_newton(net, X, D, cfg.lm, train_set.n_patterns, epoch_hook=hook)
-    return net.with_weights(best_w), TrainReport(records, stop)
+    return best, TrainReport(records, stop)
 
 
 def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
@@ -341,9 +338,9 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
     X, D = data.scaled_inputs(), data.scaled_targets()
     N = net.n_weights
 
-    def reestimate(epoch, H, lam, sse, ww, alpha, beta):
-        # effective parameter count from the damped Hessian trace
-        Hinv = np.linalg.inv(_damped(H, lam))
+    def reestimate(epoch, JtJ, lam, sse, ww, alpha, beta):
+        # effective parameter count from the damped Hessian trace (norm is 1)
+        Hinv = np.linalg.inv(_damped(_hessian(JtJ, alpha, beta), lam))
         gamma = float(np.clip(N - 2.0 * beta * np.trace(Hinv), 0.0, N))
         if epoch > 1 and (epoch - 1) % cfg.reestimate_every == 0:
             eds = 0.5 * sse
@@ -353,10 +350,10 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
             )
         return alpha, beta, gamma
 
-    w, records, stop = _gauss_newton(
+    net, records, stop = _gauss_newton(
         net, X, D, cfg.lm, 1.0, cfg.alpha_init, cfg.beta_init, reestimate=reestimate
     )
-    return net.with_weights(w), TrainReport(records, stop)
+    return net, TrainReport(records, stop)
 
 
 def split_dataset(data: Dataset, fraction: float, seed: int):

@@ -395,6 +395,11 @@ def _constant_net(volts):
     ]) + "\n"
 
 
+# A 5-1 linear controller whose first input weight is 2: an input offset or
+# gain of 1e308 makes its output overflow.
+_SMALL_NET = _constant_net(4.0).replace("weights 6\n0.0", "weights 6\n2.0")
+
+
 # A plant whose output settles near 4e307 V at the 6.5 V actuator limit:
 # finite, but the mean of |r-y| over the trace overflows.
 _HUGE_GAIN_CONFIG = """
@@ -418,6 +423,17 @@ class TestOverflowingIndex:
         assert sorted(_files(out)) == ["trace_0.csv"]
         y = [float(line.split(",")[2]) for line in (out / "trace_0.csv").read_text().splitlines()[1:]]
         assert all(math.isfinite(v) for v in y) and max(y) > 3.9e307
+
+    def test_one_seed_overflowing_controller_warns_nothing(self, tmp_path, capsys):
+        # one seed runs one loop at a time, which must be as quiet as lockstep
+        net = tmp_path / "big.net"
+        net.write_text(_SMALL_NET.replace("input_offset 0.0", "input_offset 1e308"))
+        path = write_config(tmp_path, "evaluation: {profile: [{level: 1.0, duration: 50}], "
+                                      "seeds: [0]}\n")
+        assert run(["--config", path, "--out", str(tmp_path / "out"), "control", str(net)]) \
+            == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "seed 0: controller output not finite at sample 0\n"
 
     def test_compare_records_an_error_row(self, tmp_path, capsys):
         high, low = tmp_path / "high.net", tmp_path / "low.net"
@@ -791,6 +807,64 @@ def test_train_exit_code_contract(fuzz_dir, tiny_iolog, trainer):
     assert "Traceback" not in err.getvalue()
 
 
+# --- exit-code contract of the input files ----------------------------------
+
+_INPUT_CONFIG = """
+    trainer: {max_epochs: 2}
+    evaluation: {profile: [{level: 1.0, duration: 20}], seeds: [0]}
+"""
+_mutations = st.one_of(
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 9),
+              st.sampled_from([b"1e308", b"nan", b"inf", b"\xff", b"\x00", b""])),
+    st.tuples(st.sampled_from(["delete", "repeat", "truncate"]), st.integers(0, 99)),
+)
+
+
+def _mutate(data, mutation):
+    """`data` with one line's token swapped, its line deleted or repeated, or
+    the file cut short; indices wrap around the lines and tokens there are."""
+    kind, at, *swap = mutation
+    if kind == "truncate":
+        return data[: at * len(data) // 100]
+    lines = data.split(b"\n")
+    i = at % len(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        token, new = swap
+        sep = b"," if b"," in lines[i] else b" "
+        tokens = lines[i].split(sep)
+        tokens[token % len(tokens)] = new
+        lines[i] = sep.join(tokens)
+    return b"\n".join(lines)
+
+
+@given(kind=st.sampled_from(["net", "iolog"]), mutation=_mutations)
+@settings(max_examples=150, deadline=None)
+@example(kind="net", mutation=("swap", 3, 1, b"1e308"))  # the first input offset
+@example(kind="net", mutation=("swap", 8, 0, b"\x00"))
+@example(kind="iolog", mutation=("swap", 2, 2, b"\x00"))
+def test_input_file_exit_code_contract(fuzz_dir, tiny_iolog, kind, mutation):
+    """A mutated .net through `control` or a mutated I/O log through `train`
+    runs (exit 0), is rejected (exit 1) or diverges (exit 3), with no
+    traceback and no warning on stderr."""
+    config = write_config(fuzz_dir, _INPUT_CONFIG)
+    path = fuzz_dir / f"mutated.{kind}"
+    if kind == "net":
+        path.write_bytes(_mutate(_SMALL_NET.encode(), mutation))
+        argv = ["control", str(path)]
+    else:
+        path.write_bytes(_mutate(tiny_iolog.read_bytes(), mutation))
+        argv = ["train", "--iolog", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", config, "--out", str(fuzz_dir / "files"), *argv])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+
+
 # --- exit-code contract under random argv ----------------------------------
 
 # Every file name is relative to the fixture directory, which is the working
@@ -879,3 +953,17 @@ def test_argv_exit_code_contract(argv_dir, argv):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# --- the program names the benchmark traces --------------------------------
+
+
+def test_every_benchmark_span_resolves(monkeypatch):
+    """Each span of bench/tracer.py's TARGETS wraps at least one program
+    name; a span that resolves nowhere drops its per-layer metrics from the
+    benchmark's result line."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    with Tracer().installed() as tracer:
+        assert tracer.absent_spans == []

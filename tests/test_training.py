@@ -161,7 +161,7 @@ class TestLmStep:
         rng = np.random.default_rng(4)
         ds = identity_dataset(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)))
         delta_damped = self.lm_system(net, ds, lam=0.1)[2]
-        assert not np.array_equal(delta_damped, self.lm_system(net, ds, lam=0.0)[2])
+        assert not np.array_equal(delta_damped, self.lm_system(net, ds, lam=1.0)[2])
         # one accepted train_lm epoch takes exactly the damped step on E_D
         trained, report = train_lm(net, ds, LmConfig(lambda_init=0.1, max_epochs=1))
         assert np.array_equal(trained.weights, net.weights + delta_damped)
