@@ -206,13 +206,15 @@ def load_config(path=None) -> WorkbenchConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except ValueError as exc:  # not UTF-8
-            raise ConfigError(f"cannot decode config file: {exc}") from exc
+            raise ConfigError(f"cannot decode config file {path}: {exc}") from exc
         import yaml  # here, not at the top: it is a fifth of `import servoneuro.cli`
 
         try:
-            raw = yaml.safe_load(text) or {}
+            document = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
+        if document is not None:  # an empty file is the defaults; [] or 0 is not
+            raw = document
     return _build_dataclass(WorkbenchConfig, raw)
 
 

@@ -140,6 +140,8 @@ def load_iolog(path) -> IoLog:
                 y.append(yk)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return IoLog(np.array(u), np.array(y))
     except ValueError as exc:

@@ -136,9 +136,12 @@ def forward_layers(net: MlpNetwork, inputs: np.ndarray) -> list:
         raise _width_error(net, a.shape)
     acts = [a]
     for WT, _, b, is_tanh in net._views:
-        a = a @ WT + b
+        # in place on the new array `a @ WT`, so `inputs` is never written;
+        # rounds exactly like `np.tanh(a @ WT + b)`
+        a = a @ WT
+        a += b
         if is_tanh:
-            a = np.tanh(a)
+            np.tanh(a, out=a)
         acts.append(a)
     return acts
 
@@ -196,14 +199,27 @@ def forward_stacked(layers, inputs: np.ndarray) -> np.ndarray:
     return a[:, :, 0]
 
 
+def _output_buffer(buf, shape, name):
+    """`buf`, or a new array when it is None; a ValueError unless it is a
+    C-contiguous array of `shape`."""
+    if buf is None:
+        return np.empty(shape)
+    if buf.shape != shape or not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous array of shape {shape}")
+    return buf
+
+
 def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
-                   activations=None, out=None) -> np.ndarray:
+                   activations=None, out=None, scratch=None) -> np.ndarray:
     """Analytic Jacobian of the per-pattern errors e_p = d_p - y_p.
 
     Row p holds de_p/dw over the flat weight vector.  Single-output
     networks only (one error per pattern).  `activations`, when given, must
     be `forward_layers(net, inputs)` and saves that pass; `out`, when given,
     is a C-contiguous (P, n_weights) array that receives J and is returned.
+    `scratch`, when given, is a C-contiguous (n_weights, P) array that J is
+    built in and that ends holding exactly J.T, so `scratch @ scratch.T`
+    gives J'J without a transposed read of J.
     """
     if net.output_width != 1:
         raise ArchitectureError("error_jacobian supports single-output networks")
@@ -216,25 +232,23 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
     if targets.shape[0] != X.shape[0]:
         raise ValueError("inputs and targets disagree on pattern count")
     P, N = X.shape[0], net.n_weights
-    if out is None:
-        out = np.empty((P, N))
-    elif out.shape != (P, N) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {(P, N)}")
+    out = _output_buffer(out, (P, N), "out")
+    JT = _output_buffer(scratch, (N, P), "scratch")
 
     views = net._views
     acts = forward_layers(net, X) if activations is None else activations
-    # dy/dz for the output layer
+    # dy/dz for the output layer; delta is held transposed, (n_out, P) like
+    # the blocks of J' it fills, so every product below runs along patterns
     if views[-1][3]:
-        delta = 1.0 - acts[-1] ** 2
+        deltaT = (1.0 - acts[-1] ** 2).T
     else:
-        delta = np.ones((P, 1))
+        deltaT = np.ones((1, P))
 
     # J is built transposed, pattern axis inner, so each layer's weight block
     # is one contiguous broadcast product; one transposed copy then fills the
     # pattern-major `out`.  Every entry is the single product (-d)*a, which
     # equals -(d*a) exactly, so J and every product formed from it are
     # unchanged by the layout.
-    JT = np.empty((N, P))
     end = N
     for layer in range(len(views) - 1, -1, -1):
         WT = views[layer][0]
@@ -242,12 +256,20 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
         start = end - (fi + 1) * fo
         block = JT[start:end].reshape(fo, fi + 1, P)
         neg = block[:, fi, :]  # the bias entries, -delta per neuron
-        np.negative(delta.T, out=neg)
-        np.multiply(neg[:, None, :], acts[layer].T.copy(), out=block[:, :fi, :])
+        np.negative(deltaT, out=neg)
+        aT = acts[layer].T.copy()
+        np.multiply(neg[:, None, :], aT, out=block[:, :fi, :])
         if layer > 0:
-            delta = delta @ WT.T
+            if fo == 1:
+                # the outer product as a broadcast, not a one-term gemm; the
+                # gemm sums from +0.0, so + 0.0 turns its 0*(w<0) into +0.0 too
+                deltaT = WT * deltaT + 0.0
+            else:
+                # a gemm on the pattern-major, C-contiguous delta: one on the
+                # transposed operands rounds differently
+                deltaT = (np.ascontiguousarray(deltaT.T) @ WT.T).T.copy()
             if views[layer - 1][3]:
-                delta *= 1.0 - acts[layer] ** 2
+                deltaT *= 1.0 - aT ** 2
         end = start
     np.copyto(out, JT.T)
     return out
@@ -285,7 +307,10 @@ def _parse(path, number, key, text, convert):
 def load_network(path):
     """Read a serialized network; returns (net, input_scaling, target_scaling).
     A ValueError names the file and, for a bad value, its line."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a servoneuro network file")
 

@@ -244,14 +244,17 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
 
     stop = StopReason.MAX_EPOCHS
     gamma = None
-    # One J for the whole run: a fresh one per epoch sits next to the
-    # Jacobian's transposed scratch (one more J of peak memory), and freeing
-    # it between epochs lets the allocator return and re-fault the pages.
+    # One J and one J' for the whole run: freeing them between epochs lets
+    # the allocator return and re-fault the pages.  J'e needs the
+    # pattern-major J (J'-major forms round differently); J'J is the syrk of
+    # J' itself, which rounds like J.T @ J and reads J' contiguously.
     J = np.empty((P, net.n_weights))
+    JT = np.empty((net.n_weights, P))
     for epoch in range(1, lm.max_epochs + 1):
         # acts are the accepted network's activations, so J needs no forward pass
-        error_jacobian(net, X, D, acts, J)
-        JtJ, Jte = J.T @ J, J.T @ e
+        error_jacobian(net, X, D, acts, out=J, scratch=JT)
+        Jte = J.T @ e  # first, while J is still in cache from the copy
+        JtJ = JT @ JT.T
         system = None
         while True:
             try:

@@ -6,17 +6,20 @@ import os
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servoneuro import control as ctl
+from servoneuro import training as tr
 from servoneuro.cli import (
     EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EvaluationSpec, NetworkSpec, WorkbenchConfig,
     load_config, main,
 )
 from servoneuro.experiment import StepExperimentConfig
+from servoneuro.mlp import init_weights
 from servoneuro.plant import MotorParams
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
 
@@ -116,6 +119,11 @@ class TestConfigLoading:
                          id="num-steps-past-c-long"),
             ("network: {layer_sizes: [5, 1000000000000, 1]}", [], "layer_sizes"),
             ("output_dir: [out]", [], "output_dir"),
+            # a document that is not a mapping; only an empty file is the defaults
+            ("[]", [], "config"),
+            ("false", [], "config"),
+            ("0", [], "config"),
+            ('""', [], "config"),
         ],
     )
     def test_invalid_value_names_the_field(self, tmp_path, capsys, config_text, extra_args, field):
@@ -531,6 +539,21 @@ class TestNetworkFileBoundary:
         err = capsys.readouterr().err
         assert f"controller.net: line {n_lines + 1}" in err and "'junk'" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["config", "iolog", "net"])
+def test_undecodable_input_file_exits_1_naming_it(net_text, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    good = {"config": "trainer: {max_epochs: 2}\n", "iolog": "k,u,y\n0,3.0,0.0\n",
+            "net": net_text}[kind]
+    bad.write_bytes(good.encode()[:10] + b"\xff" + good.encode()[10:])
+    argv = {"config": ["--config", str(bad), "collect"],
+            "iolog": ["train", "--iolog", str(bad)],
+            "net": ["control", str(bad)]}[kind]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(bad) in err and "decode" in err
+    assert "Traceback" not in err
 
 
 class TestSvgEmission:
@@ -961,9 +984,26 @@ def test_argv_exit_code_contract(argv_dir, argv):
 def test_every_benchmark_span_resolves(monkeypatch):
     """Each span of bench/tracer.py's TARGETS wraps at least one program
     name; a span that resolves nowhere drops its per-layer metrics from the
-    benchmark's result line."""
+    benchmark's result line.  The observers read the wrapped calls' arguments
+    and results, so each trainer runs under the tracer and its counters are
+    checked: an observer that breaks ends the traced run without a result."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from tracer import Tracer
 
+    rng = np.random.default_rng(0)
+    inputs = rng.uniform(-1.0, 1.0, (40, 2))
+    data = tr.Dataset.from_raw(inputs, np.sin(inputs.sum(axis=1, keepdims=True)))
+    net = init_weights([2, 4, 1], ["tanh", "linear"], seed=0, scale=0.5)
+    lm = LmConfig(max_epochs=5)
+    trainers = [("lm", "train_lm", lm, 40), ("br", "train_br", BrConfig(lm=lm), 40),
+                ("early_stop", "train_early_stopping", EarlyStopConfig(lm=lm), 28)]
     with Tracer().installed() as tracer:
         assert tracer.absent_spans == []
+        for kind, name, cfg, n_patterns in trainers:
+            tracer.reset_counts()
+            _, report = getattr(tr, name)(net, data, cfg)  # the module global is traced
+            calls = tracer.count["mlp.error_jacobian"]
+            assert calls == len(report.records) > 0
+            assert tracer.counters[f"training.{kind}.epochs"] == len(report.records)
+            assert (tracer.counters["mlp.error_jacobian.bytes_computed"]
+                    == calls * n_patterns * net.n_weights * 8)

@@ -147,6 +147,10 @@ class TestErrorJacobian:
         for bad in (np.empty((4, net.n_weights + 1)), np.empty((4, net.n_weights), order="F")):
             with pytest.raises(ValueError, match="out must be"):
                 mlp.error_jacobian(net, X, np.zeros((4, 1)), out=bad)
+        # the J' scratch likewise, at the transposed shape
+        for bad in (np.empty((4, net.n_weights)), np.empty((net.n_weights, 4), order="F")):
+            with pytest.raises(ValueError, match="scratch must be"):
+                mlp.error_jacobian(net, X, np.zeros((4, 1)), scratch=bad)
 
     def test_two_hidden_layers(self):
         rng = np.random.default_rng(9)

@@ -164,6 +164,10 @@ def _concatenated_error_jacobian(net, X):
     log_scale=st.integers(-3, 3),
 )
 @settings(max_examples=150, deadline=None)
+# a saturated tanh output gives delta = 0, and 0 times the negative output
+# weight is -0.0 in a broadcast product but +0.0 out of the gemm's sum
+@example(net=mlp.MlpNetwork((1, 1, 1), ("tanh", "tanh"), np.array([5.0, 0.0, -100.0, 0.0])),
+         n_patterns=8, seed=0, log_scale=3)
 def test_error_jacobian_matches_concatenated_form_bit_for_bit(net, n_patterns, seed, log_scale):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
@@ -186,12 +190,18 @@ def test_error_jacobian_with_given_activations_and_buffer_bit_for_bit(
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
     D = rng.normal(size=(n_patterns, 1))
+    X_bits = _bits(X)
     acts = mlp.forward_layers(net, X)
+    assert _bits(X) == X_bits  # the in-place layers never write the inputs
     assert _bits(acts[-1]) == _bits(mlp.forward_batch(net, X))
     buf = np.full((n_patterns, net.n_weights), np.nan)
-    J = mlp.error_jacobian(net, X, D, activations=acts, out=buf)
+    scratch = np.full((net.n_weights, n_patterns), np.nan)
+    J = mlp.error_jacobian(net, X, D, activations=acts, out=buf, scratch=scratch)
     assert J is buf
     assert _bits(J) == _bits(mlp.error_jacobian(net, X, D))
+    # the scratch ends holding J', whose syrk is the driver's J'J
+    assert _bits(scratch) == _bits(J.T)
+    assert _bits(scratch @ scratch.T) == _bits(J.T @ J)
 
 
 @given(net=networks(), seed=st.integers(0, 2**31 - 1))

@@ -78,11 +78,11 @@ class TestErrorFunctionals:
         # the bench traces error_jacobian through this module global
         calls = []
 
-        def spy(net, X, D, activations, out):
+        def spy(net, X, D, activations, out, scratch):
             # the reused activations are those of the weights J is taken at
             assert np.array_equal(activations[-1], mlp.forward_batch(net, X))
-            calls.append(out)
-            return mlp.error_jacobian(net, X, D, activations, out)
+            calls.append((out, scratch))
+            return mlp.error_jacobian(net, X, D, activations, out, scratch)
 
         monkeypatch.setattr(tr, "error_jacobian", spy)
         ds = sine_dataset(noise=0.1)
@@ -96,7 +96,10 @@ class TestErrorFunctionals:
         _, report = train(net, ds, cfg)
         assert report.stop_reason is not StopReason.LAMBDA_OVERFLOW
         assert len(calls) == len(report.records) > 1
-        assert all(out is calls[0] for out in calls[1:])
+        # one J and one J' buffer for the whole run
+        (out, scratch), *rest = calls
+        assert out is not scratch and scratch.shape == out.shape[::-1]
+        assert all(o is out and s is scratch for o, s in rest)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
     def test_er_of_one_br_epoch(self, alpha, beta):
