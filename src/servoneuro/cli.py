@@ -39,27 +39,11 @@ class NetworkSpec:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        if not all(isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_SIZE
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n <= MAX_SIZE
                    for n in sizes):
-            raise ValueError(
-                f"layer_sizes must be positive integers of at most {MAX_SIZE}, got {sizes}")
-        if len(sizes) < 2 or sizes[0] != ctl.REGRESSOR_WIDTH or sizes[-1] != 1:
-            raise ValueError(
-                f"layer_sizes must have {ctl.REGRESSOR_WIDTH} inputs (the regressor width) "
-                f"and 1 output, got {sizes}"
-            )
-        if len(self.activations) != len(sizes) - 1:
-            raise ValueError(
-                f"activations needs {len(sizes) - 1} entries (one per non-input layer), "
-                f"got {len(self.activations)}"
-            )
-        for act in self.activations:
-            try:
-                mlp.ActivationKind(act)
-            except ValueError:
-                raise ValueError(
-                    f"activations: unknown activation {act!r} (use tanh, linear)"
-                ) from None
+            raise ValueError(f"layer_sizes must be integers of at most {MAX_SIZE}, got {sizes}")
+        mlp.check_architecture(sizes, self.activations)
+        ctl.check_controller_shape(sizes)
         if self.init_seed < 0:
             raise ValueError("init_seed must be nonnegative")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
@@ -277,18 +261,12 @@ def cmd_train(config, args) -> int:
         config.network.init_seed,
         config.network.init_scale,
     )
-    report_path = out / "train_report.csv"
     try:
         train = getattr(tr, _TRAINERS[config.trainer.algorithm][1])
         trained, report = train(net, dataset, config.trainer.config)
-    except tr.TrainingDivergedError as exc:
-        exc.report.to_csv(report_path)
-        print(f"training diverged: {exc}", file=sys.stderr)
-        print(f"partial report in {report_path}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:  # an early-stop split of this log with an empty side
         raise ConfigError(f"invalid 'trainer' configuration for {iolog_path}: {exc}") from exc
-    net_path = out / "controller.net"
+    net_path, report_path = out / "controller.net", out / "train_report.csv"
     mlp.save_network(net_path, trained, dataset.input_scaling, dataset.target_scaling)
     report.to_csv(report_path)
     final = report.records[-1] if report.records else None

@@ -25,6 +25,16 @@ U_MAX = 6.5
 REGRESSOR_WIDTH = 5
 
 
+def check_controller_shape(layer_sizes):
+    """Raise a ValueError naming layer_sizes unless a network of these layer
+    sizes maps the regressor to one output, as an inverse controller must."""
+    if layer_sizes[0] != REGRESSOR_WIDTH or layer_sizes[-1] != 1:
+        raise ValueError(
+            f"layer_sizes must have {REGRESSOR_WIDTH} inputs (the regressor width) "
+            f"and 1 output, got {tuple(layer_sizes)}"
+        )
+
+
 @dataclass(frozen=True)
 class ReferenceProfile:
     """Piecewise-constant reference: sequence of (level_volts, duration_samples)."""
@@ -98,10 +108,7 @@ class NeuralController:
     target_scaling: AffineScaling
 
     def __post_init__(self):
-        if self.net.input_width != REGRESSOR_WIDTH:
-            raise ValueError(f"inverse controller network must have {REGRESSOR_WIDTH} inputs")
-        if self.net.output_width != 1:
-            raise ValueError("inverse controller network must have 1 output")
+        check_controller_shape(self.net.layer_sizes)
         # input_scaling.apply and target_scaling.invert as Python floats: the
         # same IEEE operations, so the same bits, without small-array calls
         object.__setattr__(self, "_in_offset", tuple(self.input_scaling.offset.tolist()))

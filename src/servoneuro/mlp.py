@@ -30,13 +30,30 @@ def weight_count(layer_sizes) -> int:
     return sum((fi + 1) * fo for fi, fo in zip(layer_sizes, layer_sizes[1:]))
 
 
-def _validate_architecture(layer_sizes, activations):
-    if len(layer_sizes) < 2:
-        raise ArchitectureError("need at least an input and an output layer")
-    if any(int(n) < 1 for n in layer_sizes):
-        raise ArchitectureError("all layer widths must be positive")
-    if len(activations) != len(layer_sizes) - 1:
-        raise ArchitectureError("need one activation per non-input layer")
+def check_architecture(layer_sizes, activations) -> tuple:
+    """The one shape rule of a network: at least an input and an output layer,
+    every width a positive integer, one tanh or linear activation per
+    non-input layer.  Returns (layer_sizes, activations) as a tuple of ints
+    and a tuple of ActivationKind; an ArchitectureError names the field."""
+    try:
+        sizes = tuple(int(n) for n in layer_sizes)
+    except (TypeError, ValueError, OverflowError):
+        raise ArchitectureError(f"layer_sizes must be integers, got {layer_sizes!r}") from None
+    if len(sizes) < 2:
+        raise ArchitectureError(
+            f"layer_sizes needs at least an input and an output layer, got {sizes}")
+    if any(n < 1 for n in sizes):
+        raise ArchitectureError(f"layer_sizes must be positive, got {sizes}")
+    activations = tuple(activations)
+    if len(activations) != len(sizes) - 1:
+        raise ArchitectureError(
+            f"activations needs {len(sizes) - 1} entries (one per non-input layer), "
+            f"got {len(activations)}")
+    try:
+        return sizes, tuple(ActivationKind(a) for a in activations)
+    except ValueError:
+        raise ArchitectureError(
+            f"activations must each be tanh or linear, got {activations}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +63,7 @@ class MlpNetwork:
     weights: np.ndarray
 
     def __post_init__(self):
-        layer_sizes = tuple(int(n) for n in self.layer_sizes)
-        activations = tuple(ActivationKind(a) for a in self.activations)
-        _validate_architecture(layer_sizes, activations)
+        layer_sizes, activations = check_architecture(self.layer_sizes, self.activations)
         object.__setattr__(self, "layer_sizes", layer_sizes)
         object.__setattr__(self, "activations", activations)
         self._bind(self.weights)
@@ -112,9 +127,7 @@ class MlpNetwork:
 
 def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwork:
     """Uniform weights on [-scale, scale] from a PRNG seeded with `seed`."""
-    layer_sizes = tuple(int(n) for n in layer_sizes)
-    activations = tuple(ActivationKind(a) for a in activations)
-    _validate_architecture(layer_sizes, activations)
+    layer_sizes, activations = check_architecture(layer_sizes, activations)
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     rng = np.random.default_rng(seed)

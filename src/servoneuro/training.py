@@ -22,11 +22,7 @@ _HYPER_HI = 1e12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss; carries the partial report accumulated so far."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
+    """The initial loss is not finite, so no epoch can be run."""
 
 
 @dataclass(eq=False)
@@ -238,9 +234,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     records = []
     acts, e, sse, ww = evaluate(net)
     if not np.isfinite(objective(sse, ww)):
-        raise TrainingDivergedError(
-            "initial loss is not finite", TrainReport(records, StopReason.MAX_EPOCHS)
-        )
+        raise TrainingDivergedError("initial loss is not finite")
 
     stop = StopReason.MAX_EPOCHS
     gamma = None

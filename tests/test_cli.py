@@ -19,8 +19,9 @@ from servoneuro.cli import (
     load_config, main,
 )
 from servoneuro.experiment import StepExperimentConfig
-from servoneuro.mlp import init_weights
+from servoneuro.mlp import ArchitectureError, MlpNetwork, init_weights, weight_count
 from servoneuro.plant import MotorParams
+from servoneuro.scaling import AffineScaling
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
 
 
@@ -178,6 +179,45 @@ class TestConfigLoading:
                 EvaluationSpec(seeds=seeds)
 
 
+# The shape rule of any network lives in mlp, the 5-in/1-out rule of an
+# inverse controller in control; every entry point that takes a shape gives
+# one verdict on it, naming the same field.
+@pytest.mark.parametrize(
+    "sizes,acts,field,any_network_accepts",
+    [
+        ([5], [], "layer_sizes", False),
+        ([5, 0, 1], ["tanh", "linear"], "layer_sizes", False),
+        ([3, 10, 1], ["tanh", "linear"], "layer_sizes", True),
+        ([5, 10, 2], ["tanh", "linear"], "layer_sizes", True),
+        ([5, 10, 1], ["tanh"], "activations", False),
+        ([5, 10, 1], ["tanh", "relu"], "activations", False),
+    ],
+    ids=["one-layer", "zero-width", "three-inputs", "two-outputs", "one-activation", "relu"],
+)
+def test_every_entry_point_rejects_a_bad_shape_alike(
+        tmp_path, capsys, sizes, acts, field, any_network_accepts):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"network": {"layer_sizes": sizes, "activations": acts}}))
+    out = tmp_path / "out"
+    assert run(["--config", str(path), "--out", str(out), "collect"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"invalid 'network' configuration: {field}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+    weights = np.zeros(weight_count(sizes))
+    for build in (lambda: init_weights(sizes, acts, seed=0, scale=0.5),
+                  lambda: MlpNetwork(sizes, acts, weights)):
+        if any_network_accepts:
+            build()
+        else:
+            with pytest.raises(ArchitectureError, match=field):
+                build()
+    scalings = [AffineScaling(np.zeros(n), np.ones(n)) for n in (sizes[0], sizes[-1])]
+    with pytest.raises(ValueError, match=field):
+        ctl.NeuralController(MlpNetwork(sizes, acts, weights), *scalings)
+
+
 class TestCollect:
     def test_writes_iolog(self, fast_config):
         path, out = fast_config
@@ -244,8 +284,10 @@ class TestTrainControlCompare:
         assert run(["--config", path, "collect"]) == EXIT_OK
         assert run(["--config", path, "train"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "initial loss is not finite" in err
+        assert "numeric failure: initial loss is not finite" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out" / "train_report.csv").exists()
+        assert not (tmp_path / "out" / "controller.net").exists()
 
     def test_control_oracle_flag(self, fast_config):
         path, out = fast_config
@@ -553,6 +595,22 @@ def test_undecodable_input_file_exits_1_naming_it(net_text, tmp_path, capsys, ki
     assert run(["--out", str(tmp_path / "out"), *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(bad) in err and "decode" in err
+    assert "Traceback" not in err
+
+
+# Path collisions, not permissions: the suite may run as root, whom a chmod
+# does not stop.
+@pytest.mark.parametrize("command", [["collect"], ["control", "--oracle"]], ids=" ".join)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command[0] == "collect":
+        out.write_text("")  # --out names a regular file
+    else:
+        (out / "trace_0.csv").mkdir(parents=True)  # the trace's path is a directory
+    path = write_config(tmp_path, "evaluation: {seeds: [0], profile: [{level: 1.0, duration: 5}]}")
+    assert run(["--config", path, "--out", str(out), *command]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "I/O error" in err
     assert "Traceback" not in err
 
 

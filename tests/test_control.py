@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import warnings
 
 import numpy as np

@@ -1,0 +1,35 @@
+"""Every name a module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*ROOT.glob("src/servoneuro/*.py"), *ROOT.glob("tests/*.py")])
+
+
+def unused_imports(source):
+    """The names bound by import statements in `source` that no expression
+    in it reads; `from __future__` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os, sys\nimport a.b as c\nsys.exit()\n"
+    assert unused_imports(source) == [(2, "os"), (3, "c")]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
