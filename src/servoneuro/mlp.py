@@ -212,65 +212,49 @@ def forward_stacked(layers, inputs: np.ndarray) -> np.ndarray:
     return a[:, :, 0]
 
 
-def _output_buffer(buf, shape, name):
-    """`buf`, or a new array when it is None; a ValueError unless it is a
-    C-contiguous array of `shape`."""
-    if buf is None:
-        return np.empty(shape)
-    if buf.shape != shape or not buf.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous array of shape {shape}")
-    return buf
+def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
+    """Analytic Jacobian J of the per-pattern errors e_p = d_p - y_p.
 
-
-def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
-                   activations=None, out=None, scratch=None) -> np.ndarray:
-    """Analytic Jacobian of the per-pattern errors e_p = d_p - y_p.
-
-    Row p holds de_p/dw over the flat weight vector.  Single-output
-    networks only (one error per pattern).  `activations`, when given, must
-    be `forward_layers(net, inputs)` and saves that pass; `out`, when given,
-    is a C-contiguous (P, n_weights) array that receives J and is returned.
-    `scratch`, when given, is a C-contiguous (n_weights, P) array that J is
-    built in and that ends holding exactly J.T, so `scratch @ scratch.T`
-    gives J'J without a transposed read of J.
+    Row p holds de_p/dw over the flat weight vector.  Single-output networks
+    only (one error per pattern).  `activations` is `forward_layers(net, X)`,
+    so `activations[0]` is X.  J is built transposed in `out`, a C-contiguous
+    (n_weights, P) array (a new one when None), and its (P, n_weights) view
+    `out.T` is returned: `out @ out.T` is J'J without a transposed read.
+    `J.T @ e` on that view reads J' row-major and rounds differently from
+    `J.T @ e` on a pattern-major copy of J.
     """
     if net.output_width != 1:
         raise ArchitectureError("error_jacobian supports single-output networks")
-    X = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_width:
-        raise ArchitectureError("input width does not match network")
-    if X.shape[0] == 0:
+    P, N = activations[0].shape[0], net.n_weights
+    if P == 0:
         raise ValueError("empty dataset")
-    if targets.shape[0] != X.shape[0]:
-        raise ValueError("inputs and targets disagree on pattern count")
-    P, N = X.shape[0], net.n_weights
-    out = _output_buffer(out, (P, N), "out")
-    JT = _output_buffer(scratch, (N, P), "scratch")
+    if out is None:
+        out = np.empty((N, P))
+    elif out.shape != (N, P) or not out.flags.c_contiguous:
+        # the blocks below are reshaped views of `out`; on any other layout
+        # the reshape would copy, and J would be written into the copy
+        raise ValueError(f"out must be a C-contiguous array of shape {(N, P)}")
 
     views = net._views
-    acts = forward_layers(net, X) if activations is None else activations
     # dy/dz for the output layer; delta is held transposed, (n_out, P) like
     # the blocks of J' it fills, so every product below runs along patterns
     if views[-1][3]:
-        deltaT = (1.0 - acts[-1] ** 2).T
+        deltaT = (1.0 - activations[-1] ** 2).T
     else:
         deltaT = np.ones((1, P))
 
     # J is built transposed, pattern axis inner, so each layer's weight block
-    # is one contiguous broadcast product; one transposed copy then fills the
-    # pattern-major `out`.  Every entry is the single product (-d)*a, which
-    # equals -(d*a) exactly, so J and every product formed from it are
-    # unchanged by the layout.
+    # is one contiguous broadcast product.  Every entry is the single product
+    # (-d)*a, which equals -(d*a) exactly, so J is unchanged by the layout.
     end = N
     for layer in range(len(views) - 1, -1, -1):
         WT = views[layer][0]
         fi, fo = WT.shape
         start = end - (fi + 1) * fo
-        block = JT[start:end].reshape(fo, fi + 1, P)
+        block = out[start:end].reshape(fo, fi + 1, P)
         neg = block[:, fi, :]  # the bias entries, -delta per neuron
         np.negative(deltaT, out=neg)
-        aT = acts[layer].T.copy()
+        aT = activations[layer].T.copy()
         np.multiply(neg[:, None, :], aT, out=block[:, :fi, :])
         if layer > 0:
             if fo == 1:
@@ -284,8 +268,7 @@ def error_jacobian(net: MlpNetwork, inputs: np.ndarray, targets: np.ndarray,
             if views[layer - 1][3]:
                 deltaT *= 1.0 - aT ** 2
         end = start
-    np.copyto(out, JT.T)
-    return out
+    return out.T
 
 
 # --- serialization ---------------------------------------------------------

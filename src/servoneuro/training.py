@@ -214,9 +214,9 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     `reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)` runs once per epoch,
     before the first lambda trial, and returns (alpha, beta, gamma) for that
     epoch.  A LinAlgError there is a failed trial: lambda is raised and the
-    re-estimate retried.  `epoch_hook(epoch, net, rec)` runs after each
-    accepted epoch and may return True to request an early stop.  Returns
-    (network, records, stop reason).
+    re-estimate retried.  `epoch_hook(net, rec)` runs after each accepted
+    epoch and may return True to request an early stop.  Returns (network,
+    records, stop reason).
     """
 
     def objective(sse, ww):  # with alpha and beta as re-estimated so far
@@ -239,14 +239,15 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     stop = StopReason.MAX_EPOCHS
     gamma = None
     # One J and one J' for the whole run: freeing them between epochs lets
-    # the allocator return and re-fault the pages.  J'e needs the
-    # pattern-major J (J'-major forms round differently); J'J is the syrk of
-    # J' itself, which rounds like J.T @ J and reads J' contiguously.
+    # the allocator return and re-fault the pages.
     J = np.empty((P, net.n_weights))
     JT = np.empty((net.n_weights, P))
     for epoch in range(1, lm.max_epochs + 1):
-        # acts are the accepted network's activations, so J needs no forward pass
-        error_jacobian(net, X, D, acts, out=J, scratch=JT)
+        # acts are the accepted network's activations, so J needs no forward
+        # pass.  J' is built in JT and copied once into the pattern-major J:
+        # J'e needs J itself (J'-major forms round differently), while J'J is
+        # the syrk of J', which rounds like J.T @ J and reads J' contiguously.
+        np.copyto(J, error_jacobian(net, acts, out=JT))
         Jte = J.T @ e  # first, while J is still in cache from the copy
         JtJ = JT @ JT.T
         system = None
@@ -279,7 +280,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         rec = EpochRecord(epoch, ed, ww, f, lam)
         if reestimate is not None:
             rec.alpha, rec.beta, rec.gamma = alpha, beta, gamma
-        hook_stop = bool(epoch_hook(epoch, net, rec)) if epoch_hook else False
+        hook_stop = bool(epoch_hook(net, rec)) if epoch_hook else False
         records.append(rec)
         if ed <= lm.goal_ed:
             stop = StopReason.GOAL_REACHED
@@ -311,7 +312,7 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
     prev_val = np.inf
     rises = 0
 
-    def hook(epoch, net, rec):  # the driver never edits an accepted network
+    def hook(net, rec):  # the driver never edits an accepted network
         nonlocal best_val, best, prev_val, rises
         val = rec.val_ed = _ed(net, Xv, Dv)
         if val < best_val:

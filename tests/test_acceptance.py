@@ -45,7 +45,7 @@ def test_criterion_1_jacobian_matches_finite_differences():
         net = mlp.init_weights([5, hidden, 1], ["tanh", "linear"], seed=seed, scale=0.8)
         X = rng.normal(size=(20, 5))
         D = rng.normal(size=(20, 1))
-        J = mlp.error_jacobian(net, X, D)
+        J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
         Jfd = np.zeros_like(J)
         w = net.weights
         for i in range(w.size):

@@ -185,6 +185,7 @@ class TestConfigLoading:
 @pytest.mark.parametrize(
     "sizes,acts,field,any_network_accepts",
     [
+        ([], [], "layer_sizes", False),
         ([5], [], "layer_sizes", False),
         ([5, 0, 1], ["tanh", "linear"], "layer_sizes", False),
         ([3, 10, 1], ["tanh", "linear"], "layer_sizes", True),
@@ -192,7 +193,8 @@ class TestConfigLoading:
         ([5, 10, 1], ["tanh"], "activations", False),
         ([5, 10, 1], ["tanh", "relu"], "activations", False),
     ],
-    ids=["one-layer", "zero-width", "three-inputs", "two-outputs", "one-activation", "relu"],
+    ids=["no-layers", "one-layer", "zero-width", "three-inputs", "two-outputs", "one-activation",
+         "relu"],
 )
 def test_every_entry_point_rejects_a_bad_shape_alike(
         tmp_path, capsys, sizes, acts, field, any_network_accepts):
@@ -213,7 +215,8 @@ def test_every_entry_point_rejects_a_bad_shape_alike(
         else:
             with pytest.raises(ArchitectureError, match=field):
                 build()
-    scalings = [AffineScaling(np.zeros(n), np.ones(n)) for n in (sizes[0], sizes[-1])]
+    # input and output scalings; none for `[]`, whose network never builds
+    scalings = [AffineScaling(np.zeros(n), np.ones(n)) for n in sizes[:1] + sizes[-1:]]
     with pytest.raises(ValueError, match=field):
         ctl.NeuralController(MlpNetwork(sizes, acts, weights), *scalings)
 

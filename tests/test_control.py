@@ -102,13 +102,6 @@ class TestRunClosedLoop:
             run_closed_loop(quiet, broken, PROFILE, seed=0)
         assert len(err.value.trace) == 10
 
-    def test_neural_controller_width_checked(self):
-        net = mlp.init_weights([3, 4, 1], ["tanh", "linear"], seed=0, scale=0.5)
-        with pytest.raises(ValueError):
-            NeuralController(
-                net, AffineScaling(np.zeros(3), np.ones(3)), AffineScaling(np.zeros(1), np.ones(1))
-            )
-
 
 def _reference_loop(params, controller, profile, seed, y0):
     """The closed loop as first written: an array regressor, one `plant.step`

@@ -61,12 +61,6 @@ class TestInitWeights:
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=1, scale=0.25)
         assert np.all(np.abs(net.weights) <= 0.25)
 
-    @pytest.mark.parametrize("sizes", [[], [5], [5, 0, 1]])
-    def test_invalid_architecture(self, sizes):
-        acts = ["linear"] * max(len(sizes) - 1, 0)
-        with pytest.raises(ArchitectureError):
-            mlp.init_weights(sizes, acts, seed=0, scale=0.5)
-
 
 class TestForward:
     def test_zero_weights_give_zero_output(self):
@@ -109,7 +103,7 @@ class TestErrorJacobian:
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=5, scale=0.7)
         X = rng.normal(size=(20, 5))
         D = rng.normal(size=(20, 1))
-        J = mlp.error_jacobian(net, X, D)
+        J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
         Jfd = finite_difference_jacobian(net, X, D)
         assert np.max(np.abs(J - Jfd) / (1.0 + np.abs(Jfd))) < 1e-6
 
@@ -117,47 +111,36 @@ class TestErrorJacobian:
         # e = d - (w.x + b)  =>  de/dw = -x, de/db = -1
         net = MlpNetwork((3, 1), (ActivationKind.LINEAR,), np.array([0.5, -0.25, 1.0, 0.1]))
         X = np.array([[1.0, 2.0, 3.0]])
-        J = mlp.error_jacobian(net, X, np.array([[0.0]]))
+        J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
         assert np.allclose(J, [[-1.0, -2.0, -3.0, -1.0]])
 
     def test_duplicated_pattern_duplicates_row(self):
         net = mlp.init_weights([5, 8, 1], ["tanh", "linear"], seed=1, scale=0.5)
         x = np.random.default_rng(2).normal(size=5)
         X = np.vstack([x, x])
-        J = mlp.error_jacobian(net, X, np.zeros((2, 1)))
+        J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
         assert np.array_equal(J[0], J[1])
-
-    def test_target_independent(self):
-        # e = d - y is affine in d, so the Jacobian ignores the targets
-        net = mlp.init_weights([5, 8, 1], ["tanh", "linear"], seed=1, scale=0.5)
-        X = np.random.default_rng(3).normal(size=(4, 5))
-        assert np.array_equal(
-            mlp.error_jacobian(net, X, np.zeros((4, 1))),
-            mlp.error_jacobian(net, X, np.ones((4, 1))),
-        )
 
     def test_empty_dataset_raises(self):
         net = mlp.init_weights([5, 8, 1], ["tanh", "linear"], seed=1, scale=0.5)
         with pytest.raises(ValueError):
-            mlp.error_jacobian(net, np.empty((0, 5)), np.empty((0, 1)))
+            mlp.error_jacobian(net, mlp.forward_layers(net, np.empty((0, 5))))
 
     def test_out_must_be_a_c_contiguous_buffer_of_j_shape(self):
         net = mlp.init_weights([5, 8, 1], ["tanh", "linear"], seed=1, scale=0.5)
-        X = np.random.default_rng(4).normal(size=(4, 5))
-        for bad in (np.empty((4, net.n_weights + 1)), np.empty((4, net.n_weights), order="F")):
+        acts = mlp.forward_layers(net, np.random.default_rng(4).normal(size=(4, 5)))
+        # J is built transposed, so `out` holds J' at (n_weights, P)
+        for bad in (np.empty((4, net.n_weights)), np.empty((net.n_weights + 1, 4)),
+                    np.empty((net.n_weights, 4), order="F")):
             with pytest.raises(ValueError, match="out must be"):
-                mlp.error_jacobian(net, X, np.zeros((4, 1)), out=bad)
-        # the J' scratch likewise, at the transposed shape
-        for bad in (np.empty((4, net.n_weights)), np.empty((net.n_weights, 4), order="F")):
-            with pytest.raises(ValueError, match="scratch must be"):
-                mlp.error_jacobian(net, X, np.zeros((4, 1)), scratch=bad)
+                mlp.error_jacobian(net, acts, out=bad)
 
     def test_two_hidden_layers(self):
         rng = np.random.default_rng(9)
         net = mlp.init_weights([3, 6, 4, 1], ["tanh", "tanh", "linear"], seed=9, scale=0.6)
         X = rng.normal(size=(10, 3))
         D = rng.normal(size=(10, 1))
-        J = mlp.error_jacobian(net, X, D)
+        J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
         Jfd = finite_difference_jacobian(net, X, D)
         assert np.max(np.abs(J - Jfd) / (1.0 + np.abs(Jfd))) < 1e-6
 

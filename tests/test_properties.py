@@ -171,8 +171,8 @@ def _concatenated_error_jacobian(net, X):
 def test_error_jacobian_matches_concatenated_form_bit_for_bit(net, n_patterns, seed, log_scale):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
-    J = mlp.error_jacobian(net, X, rng.normal(size=(n_patterns, 1)))
-    assert J.flags.c_contiguous
+    J = mlp.error_jacobian(net, mlp.forward_layers(net, X))
+    assert J.T.flags.c_contiguous
     assert J.shape == (n_patterns, net.n_weights)
     assert _bits(J) == _bits(_concatenated_error_jacobian(net, X))
 
@@ -189,19 +189,18 @@ def test_error_jacobian_with_given_activations_and_buffer_bit_for_bit(
 ):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
-    D = rng.normal(size=(n_patterns, 1))
     X_bits = _bits(X)
     acts = mlp.forward_layers(net, X)
     assert _bits(X) == X_bits  # the in-place layers never write the inputs
     assert _bits(acts[-1]) == _bits(mlp.forward_batch(net, X))
-    buf = np.full((n_patterns, net.n_weights), np.nan)
-    scratch = np.full((net.n_weights, n_patterns), np.nan)
-    J = mlp.error_jacobian(net, X, D, activations=acts, out=buf, scratch=scratch)
-    assert J is buf
-    assert _bits(J) == _bits(mlp.error_jacobian(net, X, D))
-    # the scratch ends holding J', whose syrk is the driver's J'J
-    assert _bits(scratch) == _bits(J.T)
-    assert _bits(scratch @ scratch.T) == _bits(J.T @ J)
+    out = np.full((net.n_weights, n_patterns), np.nan)
+    J = mlp.error_jacobian(net, acts, out=out)
+    assert J.base is out
+    assert _bits(J) == _bits(mlp.error_jacobian(net, acts))
+    # the syrk of J' is the driver's J'J; it rounds like J.T @ J on the
+    # pattern-major copy the driver keeps for J'e
+    J = np.ascontiguousarray(J)
+    assert _bits(out @ out.T) == _bits(J.T @ J)
 
 
 @given(net=networks(), seed=st.integers(0, 2**31 - 1))

@@ -78,11 +78,11 @@ class TestErrorFunctionals:
         # the bench traces error_jacobian through this module global
         calls = []
 
-        def spy(net, X, D, activations, out, scratch):
+        def spy(net, activations, out):
             # the reused activations are those of the weights J is taken at
-            assert np.array_equal(activations[-1], mlp.forward_batch(net, X))
-            calls.append((out, scratch))
-            return mlp.error_jacobian(net, X, D, activations, out, scratch)
+            assert np.array_equal(activations[-1], mlp.forward_batch(net, activations[0]))
+            calls.append(out)
+            return mlp.error_jacobian(net, activations, out)
 
         monkeypatch.setattr(tr, "error_jacobian", spy)
         ds = sine_dataset(noise=0.1)
@@ -96,10 +96,10 @@ class TestErrorFunctionals:
         _, report = train(net, ds, cfg)
         assert report.stop_reason is not StopReason.LAMBDA_OVERFLOW
         assert len(calls) == len(report.records) > 1
-        # one J and one J' buffer for the whole run
-        (out, scratch), *rest = calls
-        assert out is not scratch and scratch.shape == out.shape[::-1]
-        assert all(o is out and s is scratch for o, s in rest)
+        # one J' buffer for the whole run
+        out, *rest = calls
+        assert out.shape[0] == net.n_weights and out.flags.c_contiguous
+        assert all(o is out for o in rest)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
     def test_er_of_one_br_epoch(self, alpha, beta):
@@ -119,7 +119,8 @@ class TestLmStep:
     def lm_system(net, ds, lam):
         """The damped system train_lm solves in its first epoch."""
         X, D = ds.scaled_inputs(), ds.scaled_targets()
-        J = mlp.error_jacobian(net, X, D)
+        # pattern-major, as the driver copies it: J.T @ e rounds by layout
+        J = np.ascontiguousarray(mlp.error_jacobian(net, mlp.forward_layers(net, X)))
         e = (D - mlp.forward_batch(net, X)).ravel()
         scale = 1.0 / ds.n_patterns
         H, G = tr._hessian(J.T @ J, scale, 0.0), scale * (J.T @ e)
