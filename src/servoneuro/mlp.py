@@ -109,11 +109,7 @@ class MlpNetwork:
     def with_weights(self, weights: np.ndarray) -> "MlpNetwork":
         """The same architecture with new weights.  The architecture was
         validated when this network was built, so only the length is checked."""
-        net = object.__new__(MlpNetwork)
-        object.__setattr__(net, "layer_sizes", self.layer_sizes)
-        object.__setattr__(net, "activations", self.activations)
-        net._bind(weights)
-        return net
+        return _checked_network(self.layer_sizes, self.activations, weights)
 
     def __eq__(self, other):
         if not isinstance(other, MlpNetwork):
@@ -125,6 +121,16 @@ class MlpNetwork:
         )
 
 
+def _checked_network(layer_sizes, activations, weights) -> MlpNetwork:
+    """An MlpNetwork on the normalized tuples of `check_architecture`, which
+    are not checked again; only the weight vector's length is."""
+    net = object.__new__(MlpNetwork)
+    object.__setattr__(net, "layer_sizes", layer_sizes)
+    object.__setattr__(net, "activations", activations)
+    net._bind(weights)
+    return net
+
+
 def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwork:
     """Uniform weights on [-scale, scale] from a PRNG seeded with `seed`."""
     layer_sizes, activations = check_architecture(layer_sizes, activations)
@@ -132,7 +138,7 @@ def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwor
         raise ValueError("scale must be nonnegative")
     rng = np.random.default_rng(seed)
     w = rng.uniform(-scale, scale, weight_count(layer_sizes))
-    return MlpNetwork(layer_sizes, activations, w)
+    return _checked_network(layer_sizes, activations, w)
 
 
 def _width_error(net: MlpNetwork, shape) -> ArchitectureError:
@@ -217,11 +223,16 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
 
     Row p holds de_p/dw over the flat weight vector.  Single-output networks
     only (one error per pattern).  `activations` is `forward_layers(net, X)`,
-    so `activations[0]` is X.  J is built transposed in `out`, a C-contiguous
+    so `activations[0]` is X, in either layout: a column-major X is read
+    without a copy.  J is built transposed in `out`, a C-contiguous
     (n_weights, P) array (a new one when None), and its (P, n_weights) view
     `out.T` is returned: `out @ out.T` is J'J without a transposed read.
     `J.T @ e` on that view reads J' row-major and rounds differently from
     `J.T @ e` on a pattern-major copy of J.
+
+    A linear output has delta 1, so nothing is multiplied by it: its bias
+    entries are -1.0, its weight entries -a (which is (-1)*a exactly) and the
+    delta of the layer below is (W' + 0.0) times that layer's tanh slope.
     """
     if net.output_width != 1:
         raise ArchitectureError("error_jacobian supports single-output networks")
@@ -237,11 +248,9 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
 
     views = net._views
     # dy/dz for the output layer; delta is held transposed, (n_out, P) like
-    # the blocks of J' it fills, so every product below runs along patterns
-    if views[-1][3]:
-        deltaT = (1.0 - activations[-1] ** 2).T
-    else:
-        deltaT = np.ones((1, P))
+    # the blocks of J' it fills, so every product below runs along patterns.
+    # None stands for a linear output's delta of 1.
+    deltaT = (1.0 - activations[-1] ** 2).T if views[-1][3] else None
 
     # J is built transposed, pattern axis inner, so each layer's weight block
     # is one contiguous broadcast product.  Every entry is the single product
@@ -252,21 +261,33 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
         fi, fo = WT.shape
         start = end - (fi + 1) * fo
         block = out[start:end].reshape(fo, fi + 1, P)
-        neg = block[:, fi, :]  # the bias entries, -delta per neuron
-        np.negative(deltaT, out=neg)
-        aT = activations[layer].T.copy()
-        np.multiply(neg[:, None, :], aT, out=block[:, :fi, :])
+        aT = np.ascontiguousarray(activations[layer].T)
+        if deltaT is None:
+            block[:, fi, :] = -1.0
+            np.negative(aT, out=block[:, :fi, :])
+        else:
+            neg = block[:, fi, :]  # the bias entries, -delta per neuron
+            np.negative(deltaT, out=neg)
+            np.multiply(neg[:, None, :], aT, out=block[:, :fi, :])
         if layer > 0:
-            if fo == 1:
+            if deltaT is None:
+                # WT * 1 + 0.0 without the multiply, as an (fi, 1) column
+                deltaT = WT + 0.0
+            elif fo == 1:
                 # the outer product as a broadcast, not a one-term gemm; the
                 # gemm sums from +0.0, so + 0.0 turns its 0*(w<0) into +0.0 too
                 deltaT = WT * deltaT + 0.0
             else:
                 # a gemm on the pattern-major, C-contiguous delta: one on the
                 # transposed operands rounds differently
-                deltaT = (np.ascontiguousarray(deltaT.T) @ WT.T).T.copy()
+                deltaT = (np.ascontiguousarray(deltaT.T) @ WT.T).T
             if views[layer - 1][3]:
-                deltaT *= 1.0 - aT ** 2
+                # times the tanh slope, in place on the new 1 - a'^2
+                slope = 1.0 - aT ** 2
+                deltaT = np.multiply(deltaT, slope, out=slope)
+            else:
+                # the layers below read delta as (fi, P), never as a column
+                deltaT = np.broadcast_to(deltaT, (fi, P))
         end = start
     return out.T
 

@@ -183,20 +183,22 @@ def _hessian(JtJ, scale, beta):
     return H
 
 
-def _damped(H, lam):
-    """H + lam*I as a new matrix; H is left alone for the next lambda trial."""
+def _solve_step(H, G, lam):
+    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step; H is
+    left alone for the next lambda trial.  A singular system or a non-finite
+    step raises LinAlgError."""
     A = H.copy()
     A.flat[:: H.shape[0] + 1] += lam
-    return A
-
-
-def _solve_step(H, G, lam):
-    """Solve (H + lam*I) delta = -G for the damped Gauss-Newton step.  A
-    singular system or a non-finite step raises LinAlgError."""
-    delta = np.linalg.solve(_damped(H, lam), -G)
-    if not np.all(np.isfinite(delta)):
+    delta = np.linalg.solve(A, -G)
+    if not np.isfinite(delta).all():
         raise np.linalg.LinAlgError("non-finite step")
     return delta
+
+
+def _patterns(net, X):
+    """The patterns X as the trainers hold them: column-major, or row-major
+    for a one-unit first layer (see _gauss_newton)."""
+    return X if net.layer_sizes[1] == 1 else np.asfortranarray(X)
 
 
 # --- trainers --------------------------------------------------------------
@@ -229,6 +231,11 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
             return acts, e, float(np.dot(e, e)), float(np.dot(net.weights, net.weights))
 
     P = X.shape[0]
+    # One column-major copy of X per run: the first layer's gemm X @ W' runs
+    # about twice as fast on it and rounds the same, and error_jacobian reads
+    # X' (acts[0].T) without a copy.  A one-unit first layer is a gemv instead,
+    # whose rounding depends on the layout, so there X stays row-major.
+    X = _patterns(net, X)
     net = net.with_weights(net.weights.copy())
     lam = lm.lambda_init
     records = []
@@ -262,7 +269,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
                 cand = net.with_weights(net.weights + _solve_step(*system, lam))
                 evaluated = evaluate(cand)
                 f_cand = objective(*evaluated[2:])
-                ok = np.isfinite(f_cand) and f_cand < f
+                ok = math.isfinite(f_cand) and f_cand < f
             except np.linalg.LinAlgError:
                 ok = False
             if ok:
@@ -305,7 +312,7 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
     Ties on validation error keep the earlier snapshot."""
     train_set, val_set = split_dataset(data, cfg.validation_fraction, cfg.split_seed)
     X, D = train_set.scaled_inputs(), train_set.scaled_targets()
-    Xv, Dv = val_set.scaled_inputs(), val_set.scaled_targets()
+    Xv, Dv = _patterns(net, val_set.scaled_inputs()), val_set.scaled_targets()
 
     best_val = np.inf
     best = net.with_weights(net.weights.copy())
@@ -337,15 +344,15 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
     N = net.n_weights
 
     def reestimate(epoch, JtJ, lam, sse, ww, alpha, beta):
-        # effective parameter count from the damped Hessian trace (norm is 1)
-        Hinv = np.linalg.inv(_damped(_hessian(JtJ, alpha, beta), lam))
-        gamma = float(np.clip(N - 2.0 * beta * np.trace(Hinv), 0.0, N))
+        # effective parameter count from the damped Hessian trace (norm is 1);
+        # min(max(x, lo), hi) keeps a NaN x, as np.clip did
+        A = _hessian(JtJ, alpha, beta)
+        A.flat[:: N + 1] += lam
+        gamma = min(max(float(N - 2.0 * beta * np.trace(np.linalg.inv(A))), 0.0), float(N))
         if epoch > 1 and (epoch - 1) % cfg.reestimate_every == 0:
             eds = 0.5 * sse
-            beta = float(np.clip(gamma / (2.0 * max(ww, _TINY)), _HYPER_LO, _HYPER_HI))
-            alpha = float(
-                np.clip((D.size - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO, _HYPER_HI)
-            )
+            beta = min(max(gamma / (2.0 * max(ww, _TINY)), _HYPER_LO), _HYPER_HI)
+            alpha = min(max((D.size - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO), _HYPER_HI)
         return alpha, beta, gamma
 
     net, records, stop = _gauss_newton(

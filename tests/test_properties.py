@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from servoneuro import mlp
+from servoneuro import mlp, training
 from servoneuro.control import NeuralController
 from servoneuro.plant import MotorParams, static_map
 from servoneuro.scaling import AffineScaling
@@ -168,6 +168,23 @@ def _concatenated_error_jacobian(net, X):
 # weight is -0.0 in a broadcast product but +0.0 out of the gemm's sum
 @example(net=mlp.MlpNetwork((1, 1, 1), ("tanh", "tanh"), np.array([5.0, 0.0, -100.0, 0.0])),
          n_patterns=8, seed=0, log_scale=3)
+# the same for a linear output: its -0.0 weight gives (-0.0 + 0.0) = +0.0
+@example(net=mlp.MlpNetwork((1, 1, 1), ("tanh", "linear"), np.array([0.5, 0.0, -0.0, 0.0])),
+         n_patterns=2, seed=0, log_scale=0)
+# a linear output's delta is a column (fi, 1) until it is broadcast to
+# (fi, P): read as a column, the gemm of the next layer rounds differently
+# on one row than on P rows, and an in-place tanh slope cannot broadcast
+@example(net=mlp.MlpNetwork((1, 4, 2, 1), ("linear",) * 3, np.array([
+    0.027392337464290872, -0.04604265724722594, -0.09180529521276107, -0.09669447289429418,
+    0.06265404784005449, 0.08255111545554436, 0.021327155153435973, 0.045899312196799685,
+    0.008724998293084568, 0.08701448475755366, 0.06317071082430645, -0.09945229996597038,
+    0.07148085531751389, -0.09328288493890713, 0.045931089285988824, -0.0648688758794882,
+    0.07263578446997732, 0.008292244049818348, -0.04005762189252304, -0.015462555760468316,
+    -0.09433606577090742])), n_patterns=2, seed=0, log_scale=0)
+@example(net=mlp.MlpNetwork((1, 1, 2, 1), ("tanh", "linear", "linear"), np.array([
+    0.8217701239287258, -1.3812797174167781, -2.7541588563828316, -2.9008341868288254,
+    1.879621435201635, 2.47653346366633, 0.6398146546030792, 1.3769793659039902,
+    0.261749948792537])), n_patterns=2, seed=0, log_scale=0)
 def test_error_jacobian_matches_concatenated_form_bit_for_bit(net, n_patterns, seed, log_scale):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
@@ -201,6 +218,29 @@ def test_error_jacobian_with_given_activations_and_buffer_bit_for_bit(
     # pattern-major copy the driver keeps for J'e
     J = np.ascontiguousarray(J)
     assert _bits(out @ out.T) == _bits(J.T @ J)
+
+
+@given(
+    net=networks(),
+    n_patterns=st.integers(1, 60),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+# a one-unit first layer is a gemv, which rounds by layout: X stays row-major
+@example(net=mlp.init_weights([5, 1, 10, 1], ["tanh", "tanh", "linear"], seed=0, scale=1.0),
+         n_patterns=40, seed=0, log_scale=0)
+def test_driver_pattern_layout_keeps_every_bit(net, n_patterns, seed, log_scale):
+    X = np.random.default_rng(seed).normal(size=(n_patterns, net.input_width)) * 10.0**log_scale
+    laid_out = training._patterns(net, X)
+    if net.layer_sizes[1] == 1:
+        assert laid_out is X
+    else:
+        assert laid_out.flags.f_contiguous
+    expected, got = mlp.forward_layers(net, X), mlp.forward_layers(net, laid_out)
+    assert [_bits(a) for a in got] == [_bits(a) for a in expected]
+    if net.output_width == 1:
+        assert _bits(mlp.error_jacobian(net, got)) == _bits(mlp.error_jacobian(net, expected))
 
 
 @given(net=networks(), seed=st.integers(0, 2**31 - 1))
