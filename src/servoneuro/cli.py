@@ -38,22 +38,14 @@ class NetworkSpec:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        sizes = self.layer_sizes
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n <= MAX_SIZE
-                   for n in sizes):
-            raise ValueError(f"layer_sizes must be integers of at most {MAX_SIZE}, got {sizes}")
-        mlp.check_architecture(sizes, self.activations)
+        sizes, _ = mlp.check_architecture(self.layer_sizes, self.activations)
+        if max(sizes) > MAX_SIZE:
+            raise ValueError(f"layer_sizes must be at most {MAX_SIZE}, got {sizes}")
         ctl.check_controller_shape(sizes)
         if self.init_seed < 0:
             raise ValueError("init_seed must be nonnegative")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError(f"init_scale must be finite and nonnegative, got {self.init_scale!r}")
-
-
-@dataclass(frozen=True)
-class TrainerSpec:
-    algorithm: str  # "lm" | "br" | "early_stop"
-    config: object  # LmConfig | BrConfig | EarlyStopConfig
 
 
 @dataclass(frozen=True)
@@ -74,20 +66,19 @@ class WorkbenchConfig:
     plant: MotorParams = field(default_factory=MotorParams)
     experiment: exp.StepExperimentConfig = field(default_factory=exp.StepExperimentConfig)
     network: NetworkSpec = field(default_factory=NetworkSpec)
-    trainer: TrainerSpec = field(default_factory=lambda: TrainerSpec("lm", tr.LmConfig()))
+    trainer: tr.LmConfig | tr.BrConfig | tr.EarlyStopConfig = field(default_factory=tr.LmConfig)
     evaluation: EvaluationSpec = field(default_factory=EvaluationSpec)
     output_dir: str = "out"
 
 
 # --- config parsing --------------------------------------------------------
 
-# Trainer functions are named, not bound, so they are looked up in the
-# training module at call time (where profilers and tracers wrap them).
-_TRAINERS = {
-    "lm": (tr.LmConfig, "train_lm"),
-    "br": (tr.BrConfig, "train_br"),
-    "early_stop": (tr.EarlyStopConfig, "train_early_stopping"),
-}
+# A trainer config's type is its algorithm: its YAML name, and the trainer
+# function it runs.  Functions are named, not bound, so they are looked up in
+# the training module at call time (where profilers and tracers wrap them).
+_ALGORITHMS = {"lm": tr.LmConfig, "br": tr.BrConfig, "early_stop": tr.EarlyStopConfig}
+_TRAINERS = {tr.LmConfig: "train_lm", tr.BrConfig: "train_br",
+             tr.EarlyStopConfig: "train_early_stopping"}
 
 # Accepted Python types per declared field type; a bool is never a number.
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list, tuple)}
@@ -115,10 +106,8 @@ def _check_type(value, kind, name):
 def _build_dataclass(cls, value, section=None):
     """Build `cls` from a mapping of its fields: a field whose default is a
     dataclass from its own value, any other checked against its declared type,
-    then the class's own checks.  A class in _BUILDERS has its own YAML shape.
+    then the class's own checks.  A field in _BUILDERS has its own YAML shape.
     `section` names the value in messages; the whole config's keys are bare."""
-    if cls in _BUILDERS:
-        return _BUILDERS[cls](value, section)
     label = section or "config"
     _check_mapping(value, label)
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -128,7 +117,9 @@ def _build_dataclass(cls, value, section=None):
         where = f"{section}.{name}" if section else name
         f = fields[name]
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        if dataclasses.is_dataclass(default):
+        if where in _BUILDERS:
+            kwargs[name] = _BUILDERS[where](item, where)
+        elif dataclasses.is_dataclass(default):
             kwargs[name] = _build_dataclass(type(default), item, where)
         else:
             kind = getattr(f.type, "__name__", f.type)
@@ -145,17 +136,17 @@ def _build_trainer(mapping, section):
     early_stop, the fields of BrConfig or EarlyStopConfig other than `lm`."""
     _check_mapping(mapping, section)
     algorithm = mapping.get("algorithm", "lm")
-    if not isinstance(algorithm, str) or algorithm not in _TRAINERS:
+    if not isinstance(algorithm, str) or algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use lm, br, early_stop)")
-    cls = _TRAINERS[algorithm][0]
+    cls = _ALGORITHMS[algorithm]
     lm_keys = [f.name for f in dataclasses.fields(tr.LmConfig)]
     own_keys = [f.name for f in dataclasses.fields(cls) if f.name not in (*lm_keys, "lm")]
     _check_keys(mapping, ["algorithm", *lm_keys, *own_keys], f"{section} (algorithm {algorithm})")
     lm = _build_dataclass(tr.LmConfig, {k: v for k, v in mapping.items() if k in lm_keys}, section)
     if cls is tr.LmConfig:
-        return TrainerSpec(algorithm, lm)
+        return lm
     own = _build_dataclass(cls, {k: v for k, v in mapping.items() if k in own_keys}, section)
-    return TrainerSpec(algorithm, dataclasses.replace(own, lm=lm))
+    return dataclasses.replace(own, lm=lm)
 
 
 def _build_profile(entries, section):
@@ -178,8 +169,8 @@ def _build_profile(entries, section):
         raise ConfigError(f"invalid {section}: {exc}") from exc
 
 
-# The classes whose YAML shape is not a mapping of their own fields.
-_BUILDERS = {TrainerSpec: _build_trainer, ctl.ReferenceProfile: _build_profile}
+# The fields whose YAML shape is not a mapping of their value's own fields.
+_BUILDERS = {"trainer": _build_trainer, "evaluation.profile": _build_profile}
 
 
 def load_config(path=None) -> WorkbenchConfig:
@@ -262,8 +253,8 @@ def cmd_train(config, args) -> int:
         config.network.init_scale,
     )
     try:
-        train = getattr(tr, _TRAINERS[config.trainer.algorithm][1])
-        trained, report = train(net, dataset, config.trainer.config)
+        train = getattr(tr, _TRAINERS[type(config.trainer)])
+        trained, report = train(net, dataset, config.trainer)
     except ValueError as exc:  # an early-stop split of this log with an empty side
         raise ConfigError(f"invalid 'trainer' configuration for {iolog_path}: {exc}") from exc
     net_path, report_path = out / "controller.net", out / "train_report.csv"

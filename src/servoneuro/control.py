@@ -149,7 +149,7 @@ def run_closed_loop(
 
     The controller gets the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] as
     a sequence of five floats in raw volts and returns u(k).  History starts
-    quiescent (y lags at the initial output, u lags at the dead-zone floor).
+    quiescent (y lags at the initial output, u lags at the actuator floor U_MIN).
     y(k) in the trace is the measured response to u(k).  The loop advances
     the plant as `plant.step` does, with its noise drawn in one call: the
     same numbers, bit for bit, as one `step` per sample from

@@ -41,6 +41,10 @@ class StepExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude_min >= self.amplitude_max:
             raise ValueError("amplitude_min must be below amplitude_max")
+        if not math.isfinite(self.amplitude_max - self.amplitude_min):
+            raise ValueError(
+                f"amplitude_max - amplitude_min must be finite, got "
+                f"{self.amplitude_max!r} - {self.amplitude_min!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -8,6 +8,8 @@ has sum((n_{i}+1) * n_{i+1}) weights.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -34,10 +36,14 @@ def check_architecture(layer_sizes, activations) -> tuple:
     """The one shape rule of a network: at least an input and an output layer,
     every width a positive integer, one tanh or linear activation per
     non-input layer.  Returns (layer_sizes, activations) as a tuple of ints
-    and a tuple of ActivationKind; an ArchitectureError names the field."""
+    and a tuple of ActivationKind; an ArchitectureError names the field.
+    A width is an int or a numpy integer; a bool, float or str is not."""
     try:
-        sizes = tuple(int(n) for n in layer_sizes)
-    except (TypeError, ValueError, OverflowError):
+        sizes = tuple(layer_sizes)
+        if any(isinstance(n, bool) for n in sizes):
+            raise TypeError
+        sizes = tuple(operator.index(n) for n in sizes)
+    except TypeError:
         raise ArchitectureError(f"layer_sizes must be integers, got {layer_sizes!r}") from None
     if len(sizes) < 2:
         raise ArchitectureError(
@@ -134,8 +140,8 @@ def _checked_network(layer_sizes, activations, weights) -> MlpNetwork:
 def init_weights(layer_sizes, activations, seed: int, scale: float) -> MlpNetwork:
     """Uniform weights on [-scale, scale] from a PRNG seeded with `seed`."""
     layer_sizes, activations = check_architecture(layer_sizes, activations)
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(-scale, scale, weight_count(layer_sizes))
     return _checked_network(layer_sizes, activations, w)

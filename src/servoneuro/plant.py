@@ -42,6 +42,11 @@ class MotorParams:
             raise ValueError("saturation must exceed dead_zone")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if (1.0 - self.decay) * self.gain == 0.0:
+            raise ValueError(
+                f"ts, tau and gain leave no drive: (1 - exp(-ts/tau)) * gain rounds to 0 "
+                f"for ts={self.ts!r}, tau={self.tau!r}, gain={self.gain!r}, so the input "
+                f"cannot move the output")
 
     @functools.cached_property
     def decay(self) -> float:

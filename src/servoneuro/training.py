@@ -97,7 +97,6 @@ class BrConfig:
     lm: LmConfig = field(default_factory=LmConfig)
     alpha_init: float = 1.0  # data-term strength
     beta_init: float = 1e-3  # weight-decay strength
-    reestimate_every: int = 1
 
     def __post_init__(self):
         for name in ("alpha_init", "beta_init"):
@@ -105,8 +104,6 @@ class BrConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha_init <= 0 or self.beta_init <= 0:
             raise ValueError("alpha_init and beta_init must be positive")
-        if self.reestimate_every < 1:
-            raise ValueError("reestimate_every must be positive")
 
 
 @dataclass(frozen=True)
@@ -349,7 +346,7 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
         A = _hessian(JtJ, alpha, beta)
         A.flat[:: N + 1] += lam
         gamma = min(max(float(N - 2.0 * beta * np.trace(np.linalg.inv(A))), 0.0), float(N))
-        if epoch > 1 and (epoch - 1) % cfg.reestimate_every == 0:
+        if epoch > 1:  # every epoch after the first, as Foresee & Hagan (1997) do
             eds = 0.5 * sse
             beta = min(max(gamma / (2.0 * max(ww, _TINY)), _HYPER_LO), _HYPER_HI)
             alpha = min(max((D.size - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO), _HYPER_HI)

@@ -19,7 +19,7 @@ from servoneuro.cli import (
     load_config, main,
 )
 from servoneuro.experiment import StepExperimentConfig
-from servoneuro.mlp import ArchitectureError, MlpNetwork, init_weights, weight_count
+from servoneuro.mlp import ArchitectureError, MlpNetwork, init_weights, save_network, weight_count
 from servoneuro.plant import MotorParams
 from servoneuro.scaling import AffineScaling
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
@@ -63,7 +63,7 @@ class TestConfigLoading:
         config = load_config(None)
         assert config.plant.dead_zone == 2.5
         assert config.network.layer_sizes == (5, 10, 1)
-        assert config.trainer.algorithm == "lm"
+        assert config.trainer == LmConfig()
         assert config == WorkbenchConfig()
 
     def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
@@ -111,6 +111,12 @@ class TestConfigLoading:
             ("plant: {tau: .inf}", [], "tau"),
             ("plant: {gain: 0}", [], "gain"),
             ("experiment: {amplitude_max: .inf}", [], "amplitude_max"),
+            ("experiment: {amplitude_min: -1.0e+308, amplitude_max: 1.0e+308}", [],
+             "amplitude_max - amplitude_min"),
+            # a plant whose input cannot move its output: decay rounds to 1,
+            # or (1 - decay) * gain to 0
+            ("plant: {ts: 1.0e-20}", [], "ts, tau and gain"),
+            ("plant: {gain: 5.0e-324}", [], "ts, tau and gain"),
             ("experiment: {num_steps: 1, dwell_samples: 3}", [], "dwell_samples"),
             ("trainer: {lambda_init: .nan}", [], "lambda_init"),
             pytest.param("plant: {gain: 1" + "0" * 400 + "}", [], "plant",
@@ -169,8 +175,8 @@ class TestConfigLoading:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
         config = load_config(write_config(tmp_path, example))
-        assert config.trainer.algorithm == "br"
-        assert config.trainer.config.lm.lambda_max == 1e10
+        assert type(config.trainer) is BrConfig
+        assert config.trainer.lm.lambda_max == 1e10
         assert config.evaluation.seeds == (0, 1, 2)
 
     def test_library_callers_get_the_seed_checks(self):
@@ -188,13 +194,15 @@ class TestConfigLoading:
         ([], [], "layer_sizes", False),
         ([5], [], "layer_sizes", False),
         ([5, 0, 1], ["tanh", "linear"], "layer_sizes", False),
+        ([5, 2.7, 1], ["tanh", "linear"], "layer_sizes", False),
+        ([5, True, 1], ["tanh", "linear"], "layer_sizes", False),
         ([3, 10, 1], ["tanh", "linear"], "layer_sizes", True),
         ([5, 10, 2], ["tanh", "linear"], "layer_sizes", True),
         ([5, 10, 1], ["tanh"], "activations", False),
         ([5, 10, 1], ["tanh", "relu"], "activations", False),
     ],
-    ids=["no-layers", "one-layer", "zero-width", "three-inputs", "two-outputs", "one-activation",
-         "relu"],
+    ids=["no-layers", "one-layer", "zero-width", "float-width", "bool-width", "three-inputs",
+         "two-outputs", "one-activation", "relu"],
 )
 def test_every_entry_point_rejects_a_bad_shape_alike(
         tmp_path, capsys, sizes, acts, field, any_network_accepts):
@@ -207,7 +215,7 @@ def test_every_entry_point_rejects_a_bad_shape_alike(
     assert "Traceback" not in err
     assert not out.exists()
 
-    weights = np.zeros(weight_count(sizes))
+    weights = np.zeros(int(weight_count(sizes)))  # a float width counts a float
     for build in (lambda: init_weights(sizes, acts, seed=0, scale=0.5),
                   lambda: MlpNetwork(sizes, acts, weights)):
         if any_network_accepts:
@@ -219,6 +227,17 @@ def test_every_entry_point_rejects_a_bad_shape_alike(
     scalings = [AffineScaling(np.zeros(n), np.ones(n)) for n in sizes[:1] + sizes[-1:]]
     with pytest.raises(ValueError, match=field):
         ctl.NeuralController(MlpNetwork(sizes, acts, weights), *scalings)
+
+    if any_network_accepts:  # a well-formed .net file of a network that is no controller
+        net = tmp_path / "shape.net"
+        save_network(net, MlpNetwork(sizes, acts, weights), *scalings)
+        other = tmp_path / "other.net"
+        other.write_text(_constant_net(4.0))
+        for args in (["control", str(net)], ["compare", str(other), str(net)]):
+            assert run(["--out", str(out), *args]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"error: {net}: {field}" in err
+            assert "Traceback" not in err
 
 
 class TestCollect:
@@ -625,6 +644,16 @@ class TestSvgEmission:
         assert svg.startswith("<svg")
         assert "polyline" in svg
 
+    def test_early_stop_training_chart_has_the_validation_series(self, tmp_path):
+        text = FAST_CONFIG.replace("OUT", str(tmp_path / "out")).replace(
+            "algorithm: lm", "algorithm: early_stop")
+        path = write_config(tmp_path, text)
+        assert run(["--config", path, "collect"]) == EXIT_OK
+        assert run(["--config", path, "--svg", "train"]) == EXIT_OK
+        svg = (tmp_path / "out" / "train_errors.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert ">E_D</text>" in svg and ">val E_D</text>" in svg
+
 
 class TestSeedOverride:
     def test_seed_flag_changes_collect(self, fast_config):
@@ -700,6 +729,7 @@ def fuzz_dir(tmp_path_factory):
 @example(config={"plant": {"noise_sigma": math.nan}})
 @example(config={"plant": {"gain": 0}})
 @example(config={"experiment": {"amplitude_min": math.inf}})
+@example(config={"experiment": {"amplitude_min": -1.0e308, "amplitude_max": 1.0e308}})
 @example(config={"experiment": {"num_steps": 1, "dwell_samples": 2}})
 @example(config={"plant": {"gain": 1e308}})
 def test_collect_exit_code_contract(fuzz_dir, config):
@@ -754,28 +784,6 @@ def _evaluations(draw, seeds=st.lists(st.integers(0, 3), min_size=1, max_size=2)
     return evaluation
 
 
-@given(evaluation=_evaluations())
-@settings(max_examples=60, deadline=None)
-@example(evaluation={"profile": [{"level": "1.5", "duration": True},
-                                 {"level": True, "duration": 2.9}]})
-@example(evaluation={"profile": [{"level": 10**400, "duration": 3}]})
-@example(evaluation={"profile": [{"level": 1e308, "duration": 3}], "seeds": [0]})
-@example(evaluation={"profile": [{"level": 1.0, "duration": 10**15}]})
-def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation):
-    """Any evaluation block either runs (exit 0), is a config error (exit 1),
-    or, for a finite level so large that the oracle's output overflows, is a
-    numeric failure (exit 3); no traceback reaches stderr."""
-    path = fuzz_dir / "evaluation.yaml"
-    path.write_text(yaml.safe_dump({"evaluation": evaluation}))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--out", str(fuzz_dir / "oracle"), "control",
-                     "--oracle"])
-    assert code in (EXIT_OK, EXIT_CONFIG) or (
-        code == EXIT_NUMERIC and "controller output not finite" in err.getvalue())
-    assert "Traceback" not in err.getvalue()
-
-
 # Valid values of each plant key; any combination of them is a valid plant.
 # On the 1e307-gain plant a network that drives the output past the dead
 # zone has an index that overflows.
@@ -794,6 +802,36 @@ def _plants(draw):
     if keys and draw(st.booleans()):
         plant[draw(st.sampled_from(keys))] = draw(st.one_of(st.floats(-1, 10), _yaml_values))
     return plant
+
+
+@given(evaluation=_evaluations(), plant=_plants())
+@settings(max_examples=60, deadline=None)
+@example(evaluation={"profile": [{"level": "1.5", "duration": True},
+                                 {"level": True, "duration": 2.9}]}, plant={})
+@example(evaluation={"profile": [{"level": 10**400, "duration": 3}]}, plant={})
+@example(evaluation={"profile": [{"level": 1e308, "duration": 3}], "seeds": [0]}, plant={})
+@example(evaluation={"profile": [{"level": 1.0, "duration": 10**15}]}, plant={})
+@example(evaluation={"profile": [{"level": 1.0, "duration": 3}], "seeds": [0]},
+         plant={"ts": 1.0e-20})
+@example(evaluation={"profile": [{"level": 0.0, "duration": 15}], "seeds": [0]},
+         plant={"gain": 1e307, "dead_zone": 0.0, "noise_sigma": 0.0})
+def test_control_oracle_evaluation_exit_code_contract(fuzz_dir, evaluation, plant):
+    """Any evaluation and plant block either runs (exit 0), is a config error
+    (exit 1), or is a numeric failure (exit 3): a finite level so large, or a
+    plant drive so small, that the oracle's output overflows, or a 1e307-gain
+    plant whose output the clamp floor drives so high that an index overflows.
+    No traceback reaches stderr.  The oracle is the one path that divides by
+    the plant's drive."""
+    path = fuzz_dir / "evaluation.yaml"
+    path.write_text(yaml.safe_dump({"evaluation": evaluation, "plant": plant}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(fuzz_dir / "oracle"), "control",
+                     "--oracle"])
+    assert code in (EXIT_OK, EXIT_CONFIG) or (
+        code == EXIT_NUMERIC and ("controller output not finite" in err.getvalue()
+                                  or "performance index not finite" in err.getvalue()))
+    assert "Traceback" not in err.getvalue()
 
 
 @given(evaluation=_evaluations(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True)),
@@ -828,7 +866,7 @@ _TRAINER_VALUES = {
     "lambda_init": st.floats(1e-6, 1.0), "lambda_increase": st.floats(1.5, 100.0),
     "lambda_decrease": st.floats(0.01, 0.9), "lambda_max": st.floats(1e3, 1e12),
     "goal_ed": st.floats(0.0, 1e-2), "alpha_init": st.floats(1e-3, 1e3),
-    "beta_init": st.floats(1e-6, 1e3), "reestimate_every": st.integers(1, 3),
+    "beta_init": st.floats(1e-6, 1e3),
     "validation_fraction": st.floats(0.01, 0.99), "patience": st.integers(1, 3),
     "split_seed": st.integers(0, 5),
 }

@@ -308,6 +308,21 @@ class TestRunClosedLoops:
             ControllerDivergedError, ClosedLoopTrace, ControllerDivergedError]
         _assert_same_loops(results, expected)
 
+    def test_lockstep_stops_once_every_loop_has_diverged(self):
+        # 5-1 linear nets: a NaN bias diverges at once, and a weight of 1e308
+        # or 0.7e308 on r(k) at the first reference level that overflows it
+        # (2 V at sample 50, 3 V at sample 100); the last 50 samples never run.
+        profile = ReferenceProfile(((1.0, 50), (2.0, 50), (3.0, 50), (1.0, 50)))
+        params = MotorParams(noise_sigma=0.02)
+        unit = AffineScaling(np.zeros(5), np.ones(5)), AffineScaling([0.0], [1.0])
+        jobs = [(NeuralController(mlp.MlpNetwork([5, 1], ["linear"], weights), *unit), seed)
+                for weights, seed in [([0.0] * 5 + [float("nan")], 3),
+                                      ([1e308] + [0.0] * 5, 4), ([0.7e308] + [0.0] * 5, 5)]]
+        assert ctl._lockstep_batches(profile, jobs) == [[0, 1, 2]]
+        expected = [_trace_or_divergence(params, c, profile, seed) for c, seed in jobs]
+        assert [len(loop.trace) for loop in expected] == [0, 50, 100]
+        _assert_same_loops(run_closed_loops(params, profile, jobs, _keep), expected)
+
     def test_lockstep_groups_share_architecture(self):
         # layer sizes and activations both set the group; the weights do not
         architectures = [_ARCHITECTURES[0], _ARCHITECTURES[1], ([5, 2, 1], ["tanh", "tanh"])]

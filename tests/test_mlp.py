@@ -61,6 +61,21 @@ class TestInitWeights:
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=1, scale=0.25)
         assert np.all(np.abs(net.weights) <= 0.25)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, -0.5])
+    def test_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=0, scale=scale)
+
+    def test_numpy_integer_widths_are_widths(self):
+        net = mlp.init_weights(np.array([5, 3, 1]), ["tanh", "linear"], seed=0, scale=0.5)
+        assert net.layer_sizes == (5, 3, 1)
+        assert all(type(n) is int for n in net.layer_sizes)
+
+    @pytest.mark.parametrize("width", [2.0, "3", np.float64(3.0), np.True_])
+    def test_a_width_that_is_not_an_integer_is_rejected(self, width):
+        with pytest.raises(ArchitectureError, match="layer_sizes must be integers"):
+            mlp.check_architecture([5, width, 1], ["tanh", "linear"])
+
 
 class TestForward:
     def test_zero_weights_give_zero_output(self):
