@@ -124,8 +124,15 @@ def load_iolog(path) -> IoLog:
     number and the log must be long enough to train on; a ValueError names the
     file and, for a bad value, its line."""
     u, y = [], []
+    line = 0  # the file lines read so far; csv's line_num omits a line it fails on
+
+    def numbered(fh):
+        nonlocal line
+        for line, text in enumerate(fh, 1):
+            yield text
+
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(numbered(fh))
         try:
             if reader.fieldnames is None or not {"k", "u", "y"} <= set(reader.fieldnames):
                 raise ValueError(f"{path}: expected CSV header with columns k,u,y")
@@ -137,13 +144,13 @@ def load_iolog(path) -> IoLog:
                     finite = False
                 if not finite:
                     raise ValueError(
-                        f"{path}: line {reader.line_num}: u and y must be finite "
+                        f"{path}: line {line}: u and y must be finite "
                         f"numbers, got u={row['u']!r}, y={row['y']!r}"
                     )
                 u.append(uk)
                 y.append(yk)
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+            raise ValueError(f"{path}: line {line}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:

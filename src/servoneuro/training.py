@@ -192,6 +192,40 @@ def _solve_step(H, G, lam):
     return delta
 
 
+_JTE_BLOCK = 16  # weights per block of J'e; see _jte_buffers
+
+
+def _jte_buffers(JT):
+    """Run-long buffers for J'e from JT, the (n_weights, P) J' of
+    error_jacobian, without a pattern-major copy of the whole J.
+
+    Returns (Jte, blocks), one (src, scratch, out) triple per block of
+    weights: src is the block of J as a (P, width) view of JT, scratch the
+    first `width` columns of one pattern-major buffer as wide as the widest
+    block, and out the block's slice of Jte.  Blocks hold 16 weights and a
+    one-weight remainder joins the block before it: then each gemv row rounds
+    like the same row of a one-thread J.T @ e on a pattern-major J, which a
+    lone last row, or a scratch narrower than its block, need not.  A net of
+    at most 17 weights is one block, whose scratch is all of J.
+    """
+    N, P = JT.shape
+    bounds = [*range(0, N, _JTE_BLOCK), N]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    ranges = list(zip(bounds, bounds[1:]))
+    scratch = np.empty((P, max(b - a for a, b in ranges)))
+    Jte = np.empty(N)
+    return Jte, [(JT[a:b].T, scratch[:, :b - a], Jte[a:b]) for a, b in ranges]
+
+
+def _jte(blocks, e):
+    """Fill the Jte of _jte_buffers with J'e, copying J' one block at a time
+    into the pattern-major scratch (J'-major forms round differently)."""
+    for src, scratch, out in blocks:
+        np.copyto(scratch, src)
+        np.matmul(scratch.T, e, out=out)
+
+
 def _patterns(net, X):
     """The patterns X as the trainers hold them: column-major, or row-major
     for a one-unit first layer (see _gauss_newton)."""
@@ -242,17 +276,18 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
 
     stop = StopReason.MAX_EPOCHS
     gamma = None
-    # One J and one J' for the whole run: freeing them between epochs lets
-    # the allocator return and re-fault the pages.
-    J = np.empty((P, net.n_weights))
+    # One J' and one J'e scratch for the whole run: freeing them between
+    # epochs lets the allocator return and re-fault the pages.  J' is the only
+    # full-size Jacobian buffer; the scratch is P by at most 17 weights.
     JT = np.empty((net.n_weights, P))
+    Jte, jte_blocks = _jte_buffers(JT)
     for epoch in range(1, lm.max_epochs + 1):
         # acts are the accepted network's activations, so J needs no forward
-        # pass.  J' is built in JT and copied once into the pattern-major J:
-        # J'e needs J itself (J'-major forms round differently), while J'J is
-        # the syrk of J', which rounds like J.T @ J and reads J' contiguously.
-        np.copyto(J, error_jacobian(net, acts, out=JT))
-        Jte = J.T @ e  # first, while J is still in cache from the copy
+        # pass.  J' is built in JT; J'e is formed from it block by block, and
+        # J'J is the syrk of J', which rounds like J.T @ J and reads J'
+        # contiguously.
+        error_jacobian(net, acts, out=JT)
+        _jte(jte_blocks, e)
         JtJ = JT @ JT.T
         system = None
         while True:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import math
@@ -119,6 +120,27 @@ class TestConfigLoading:
             ("plant: {gain: 5.0e-324}", [], "ts, tau and gain"),
             ("experiment: {num_steps: 1, dwell_samples: 3}", [], "dwell_samples"),
             ("trainer: {lambda_init: .nan}", [], "lambda_init"),
+            ("plant: {tau: 0}", [], "tau"),
+            ("plant: {ts: -0.1}", [], "tau and ts"),
+            ("plant: {dead_zone: -1}", [], "dead_zone"),
+            ("plant: {saturation: 2.0}", [], "saturation"),
+            ("experiment: {num_steps: 0}", [], "num_steps"),
+            ("experiment: {dwell_samples: 0}", [], "dwell_samples"),
+            ("evaluation: {profile: [{level: 1.0, duration: 0}]}", [],
+             "evaluation.profile: step durations"),
+            ("evaluation: {profile: [{level: .nan, duration: 20}]}", [],
+             "evaluation.profile: step levels"),
+            ("trainer: {lambda_init: 0}", [], "lambda_init"),
+            ("trainer: {lambda_init: 1.0e+11}", [], "lambda_init must not exceed lambda_max"),
+            ("trainer: {lambda_decrease: 1.0}", [], "lambda_decrease"),
+            ("trainer: {max_epochs: 0}", [], "max_epochs"),
+            ("trainer: {goal_ed: -1}", [], "goal_ed"),
+            ("trainer: {algorithm: br, alpha_init: .nan}", [], "alpha_init"),
+            ("trainer: {algorithm: br, beta_init: 0}", [], "beta_init"),
+            ("trainer: {algorithm: early_stop, validation_fraction: 1.5}", [],
+             "validation_fraction"),
+            ("trainer: {algorithm: early_stop, patience: 0}", [], "patience"),
+            ("network: {init_scale: -1}", [], "init_scale"),
             pytest.param("plant: {gain: 1" + "0" * 400 + "}", [], "plant",
                          id="int-past-float"),
             ("experiment: {num_steps: 1000000000000000}", [], "num_steps"),
@@ -524,6 +546,9 @@ class TestOverflowingIndex:
         assert str(low) in table[1] and str(high) in table[2]
 
 
+_LONG_FIELD = "9" * (csv.field_size_limit() + 1)
+
+
 class TestIoLogBoundary:
     @pytest.mark.parametrize(
         "rows,where",
@@ -534,8 +559,17 @@ class TestIoLogBoundary:
             (["0,3.0,0.0", "1,3.0"], "line 3"),
             (["0,3.0,0.0", "1,3.0,0.1"], "too short"),
             (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2"], "too short"),
+            # a field past csv.field_size_limit() fails on the line that holds
+            # it, which csv's line_num has not counted yet
+            (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2", "3,3.0,0.3", f"4,{_LONG_FIELD},0.4"],
+             "line 6:"),
+            (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2", "3,3.0,0.3", f'4,"{_LONG_FIELD}",0.4'],
+             "line 6:"),
+            (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2", "3,3.0,0.3", f'4,"3.0\n{_LONG_FIELD}",0.4'],
+             "line 7:"),
         ],
-        ids=["nan", "inf", "text", "missing-field", "two-rows", "three-rows"],
+        ids=["nan", "inf", "text", "missing-field", "two-rows", "three-rows",
+             "field-past-limit", "quoted-field-past-limit", "field-past-limit-on-next-line"],
     )
     def test_bad_iolog_exits_1_naming_file_and_row(self, tmp_path, capsys, rows, where):
         iolog = tmp_path / "bad_iolog.csv"

@@ -1,3 +1,12 @@
+import contextlib
+import ctypes
+import glob
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -214,8 +223,8 @@ def test_error_jacobian_with_given_activations_and_buffer_bit_for_bit(
     J = mlp.error_jacobian(net, acts, out=out)
     assert J.base is out
     assert _bits(J) == _bits(mlp.error_jacobian(net, acts))
-    # the syrk of J' is the driver's J'J; it rounds like J.T @ J on the
-    # pattern-major copy the driver keeps for J'e
+    # the syrk of J' is the driver's J'J; it rounds like J.T @ J on a
+    # pattern-major copy of J
     J = np.ascontiguousarray(J)
     assert _bits(out @ out.T) == _bits(J.T @ J)
 
@@ -241,6 +250,101 @@ def test_driver_pattern_layout_keeps_every_bit(net, n_patterns, seed, log_scale)
     assert [_bits(a) for a in got] == [_bits(a) for a in expected]
     if net.output_width == 1:
         assert _bits(mlp.error_jacobian(net, got)) == _bits(mlp.error_jacobian(net, expected))
+
+
+def _openblas():
+    """The OpenBLAS bundled in numpy's wheel, or None for any other BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    if lib is None or not hasattr(lib, "scipy_openblas_get_corename64_"):
+        return None
+    lib.scipy_openblas_get_corename64_.argtypes = []
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Past a size threshold (about 460k entries for OpenBLAS 0.3.31 on two
+    cores) OpenBLAS splits a gemv's rows across its threads, and a row that
+    lands in a thread's tail rounds differently, so a threaded J.T @ e
+    depends on the thread count."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+@given(
+    n_weights=st.integers(1, 300),
+    n_patterns=st.integers(1, 6000),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+@example(n_weights=2, n_patterns=1797, seed=0)  # one block, narrower than 16
+@example(n_weights=17, n_patterns=1797, seed=0)  # a one-weight remainder merged: one block
+@example(n_weights=33, n_patterns=3997, seed=0)  # blocks of 16 and 17
+@example(n_weights=71, n_patterns=3997, seed=0)  # the [5, 10, 1] controller
+# large enough for OpenBLAS to thread J.T @ e: on two threads rows 80, 81,
+# 162 and 163 round differently from one thread's
+@example(n_weights=164, n_patterns=2810, seed=0)
+def test_blocked_jte_matches_pattern_major_bit_for_bit(n_weights, n_patterns, seed):
+    rng = np.random.default_rng(seed)
+    # one row of J' per weight, each at its own scale in 1e-3 ... 1e3
+    JT = rng.normal(size=(n_weights, n_patterns)) * 10.0 ** rng.uniform(-3, 3, (n_weights, 1))
+    e = rng.normal(size=n_patterns)
+    Jte, blocks = training._jte_buffers(JT)
+    widths = [scratch.shape[1] for _, scratch, _ in blocks]
+    assert sum(widths) == n_weights and set(widths[:-1]) <= {training._JTE_BLOCK}
+    assert widths[-1] <= training._JTE_BLOCK + 1 and (widths[-1] > 1 or n_weights == 1)
+    J = np.ascontiguousarray(JT.T)
+    with _one_blas_thread():
+        training._jte(blocks, e)
+        expected = J.T @ e
+    assert _bits(Jte) == _bits(expected)
+
+
+# Run in a fresh interpreter, since OpenBLAS reads OPENBLAS_CORETYPE when
+# numpy loads it: prints the core OpenBLAS picked, then runs the property
+# above.  Exits 5 if numpy's BLAS is not its bundled OpenBLAS.
+_ON_KERNEL = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import test_properties
+lib = test_properties._openblas()
+if lib is None:
+    sys.exit(5)
+print(lib.scipy_openblas_get_corename64_().decode(), flush=True)
+test_properties.test_blocked_jte_matches_pattern_major_bit_for_bit()
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 BLAS kernels")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_blocked_jte_is_bit_for_bit_on_other_blas_kernels(core, tmp_path):
+    # blocked against full J'e is a relative identity, so unlike the
+    # fingerprint hashes it must hold under every kernel
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _ON_KERNEL, str(here), str(here.parent / "src")],
+        cwd=tmp_path, env=dict(os.environ, OPENBLAS_CORETYPE=core),
+        capture_output=True, text=True,
+    )
+    if proc.returncode == 5:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[0].lower() == core.lower()
 
 
 @given(net=networks(), seed=st.integers(0, 2**31 - 1))

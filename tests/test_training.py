@@ -1,4 +1,5 @@
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ class TestErrorFunctionals:
         assert out.shape[0] == net.n_weights and out.flags.c_contiguous
         assert all(o is out for o in rest)
 
+    def test_the_only_full_size_jacobian_buffer_is_j_transposed(self):
+        # J'e comes from J' through a P x 16 scratch, so a run holds one P x N
+        # Jacobian and peaks near 2.0x its size; a pattern-major J beside J'
+        # took it to 2.8x
+        rng = np.random.default_rng(0)
+        P = 4000
+        ds = Dataset.from_raw(rng.normal(size=(P, 5)), rng.normal(size=(P, 1)))
+        net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        tracemalloc.start()
+        try:
+            train_lm(net, ds, LmConfig(max_epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * P * net.n_weights * 8
+
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
     def test_er_of_one_br_epoch(self, alpha, beta):
         # E_R = alpha*sum(e^2)/2 + beta*E_W; epoch 1 keeps the initial strengths
@@ -119,7 +136,7 @@ class TestLmStep:
     def lm_system(net, ds, lam):
         """The damped system train_lm solves in its first epoch."""
         X, D = ds.scaled_inputs(), ds.scaled_targets()
-        # pattern-major, as the driver copies it: J.T @ e rounds by layout
+        # pattern-major, whose J.T @ e the driver's blocked J'e matches: it rounds by layout
         J = np.ascontiguousarray(mlp.error_jacobian(net, mlp.forward_layers(net, X)))
         e = (D - mlp.forward_batch(net, X)).ravel()
         scale = 1.0 / ds.n_patterns
@@ -152,6 +169,36 @@ class TestLmStep:
         ds = identity_dataset([[1.0]], [[1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             self.lm_system(net, ds, lam=0.0)
+
+    def test_non_finite_step_signals_step_failure(self):
+        # finite inputs whose solve overflows: -1e308 / 1e-30
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite step"):
+            tr._solve_step(np.eye(3) * 1e-300, np.array([1e308, 1.0, 1.0]), 1e-30)
+
+    def test_non_finite_step_is_a_rejected_trial(self, monkeypatch):
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        lm = LmConfig(max_epochs=5)
+        raised = LmConfig(max_epochs=5, lambda_init=lm.lambda_init * lm.lambda_increase)
+        expected_net, expected = train_lm(net, ds, raised)
+        real_solve = np.linalg.solve
+        systems = []
+
+        def solve_overflowing_once(a, b):
+            systems.append(a)
+            if len(systems) == 1:  # the overflow above, at this net's size
+                n = b.shape[0]
+                return real_solve(np.eye(n) * 1e-300, np.full(n, 1e308))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_overflowing_once)
+        trained, report = train_lm(net, ds, lm)
+        # the inf step was not taken: the same system was retried at the next
+        # lambda, and the run went on as if started there
+        step_up = lm.lambda_init * (lm.lambda_increase - 1.0)
+        assert np.allclose(systems[1] - systems[0], step_up * np.eye(net.n_weights))
+        assert np.array_equal(trained.weights, expected_net.weights)
+        assert [r.lam for r in report.records] == [r.lam for r in expected.records]
 
     def test_step_norm_shrinks_with_lambda(self):
         net = mlp.init_weights([2, 4, 1], ["tanh", "linear"], seed=0, scale=0.5)
