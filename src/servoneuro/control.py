@@ -129,11 +129,11 @@ class NeuralController:
 def analytic_inverse_controller(params: MotorParams) -> Callable:
     """Exact inverse of the noise-free plant: the u that drives the next
     output to the reference in one sample (before clamping)."""
-    a = params.decay
+    a, drive = params.decay, params.drive
 
     def control(regressor):
         r, y = regressor[0], regressor[1]
-        return params.dead_zone + (r - a * y) / ((1.0 - a) * params.gain)
+        return params.dead_zone + (r - a * y) / drive
 
     return control
 
@@ -143,23 +143,19 @@ def run_closed_loop(
     controller: Callable,
     profile: ReferenceProfile,
     seed: int,
-    y0: float = 0.0,
 ) -> ClosedLoopTrace:
     """Feed the controller's (clamped) output to the plant sample by sample.
 
     The controller gets the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] as
-    a sequence of five floats in raw volts and returns u(k).  History starts
-    quiescent (y lags at the initial output, u lags at the actuator floor U_MIN).
-    y(k) in the trace is the measured response to u(k).  The loop advances
-    the plant as `plant.step` does, with its noise drawn in one call: the
-    same numbers, bit for bit, as one `step` per sample from
-    `make_state(seed, y0)`.
+    a sequence of five floats in raw volts and returns u(k).  The loop starts
+    at rest (y lags at 0 V, u lags at the actuator floor U_MIN).  y(k) in the
+    trace is the measured response to u(k).  The loop advances the plant as
+    `plant.step` does, with its noise drawn in one call: the same numbers,
+    bit for bit, as one `step` per sample from `make_state(seed)`.
     """
     r = profile.series()
-    noise = None  # as in `step`, sigma 0 draws nothing and adds nothing
-    if params.noise_sigma > 0.0:
-        noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
-    y_state = y_now = y_prev = float(y0)
+    noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
+    y_state = y_now = y_prev = 0.0
     u1 = u2 = U_MIN
     ys = []
     us = []
@@ -173,7 +169,7 @@ def run_closed_loop(
                 )
             u = min(max(u, U_MIN), U_MAX)
             y_state = advance(params, y_state, u)
-            measured = y_state if noise is None else y_state + noise[k]
+            measured = y_state + noise[k]
             ys.append(measured)
             us.append(u)
             y_prev, y_now = y_now, measured
@@ -222,14 +218,11 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
     out_gain = np.array([c._out_gain for c in controllers])
     out_offset = np.array([c._out_offset for c in controllers])
     layers = stack_layers([c.net for c in controllers])
-    decay = params.decay
-    drive = (1.0 - decay) * params.gain  # advance's ((1-a)*gain)*s
+    decay, drive = params.decay, params.drive
     span = params.saturation - params.dead_zone
-    noise = None  # as in run_closed_loop, sigma 0 adds nothing (y + 0.0 turns -0.0 into 0.0)
-    if params.noise_sigma > 0.0:
-        noise = np.empty((n, G))
-        for g, (_, seed) in enumerate(jobs):
-            noise[:, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
+    noise = np.empty((n, G))
+    for g, (_, seed) in enumerate(jobs):
+        noise[:, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
     # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)]
     reg = np.empty((G, REGRESSOR_WIDTH))
     reg[:, 1:3] = 0.0
@@ -251,7 +244,7 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
             # static_map: rounding is monotonic, so this picks its value bit for bit
             s = np.minimum(np.maximum(u - params.dead_zone, 0.0), span)
             y = decay * y + drive * s
-            ys[k] = measured = y if noise is None else y + noise[k]
+            ys[k] = measured = y + noise[k]
             us[k] = u
             reg[:, 2::2] = reg[:, 1:4:2]
             reg[:, 1] = measured

@@ -279,10 +279,6 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
             if deltaT is None:
                 # WT * 1 + 0.0 without the multiply, as an (fi, 1) column
                 deltaT = WT + 0.0
-            elif fo == 1:
-                # the outer product as a broadcast, not a one-term gemm; the
-                # gemm sums from +0.0, so + 0.0 turns its 0*(w<0) into +0.0 too
-                deltaT = WT * deltaT + 0.0
             else:
                 # a gemm on the pattern-major, C-contiguous delta: one on the
                 # transposed operands rounds differently

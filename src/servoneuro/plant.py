@@ -42,7 +42,7 @@ class MotorParams:
             raise ValueError("saturation must exceed dead_zone")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if (1.0 - self.decay) * self.gain == 0.0:
+        if self.drive == 0.0:
             raise ValueError(
                 f"ts, tau and gain leave no drive: (1 - exp(-ts/tau)) * gain rounds to 0 "
                 f"for ts={self.ts!r}, tau={self.tau!r}, gain={self.gain!r}, so the input "
@@ -53,6 +53,11 @@ class MotorParams:
         """Per-sample pole a = exp(-ts/tau), computed once."""
         return float(np.exp(-self.ts / self.tau))
 
+    @functools.cached_property
+    def drive(self) -> float:
+        """Per-sample input weight (1 - a) * gain, computed once."""
+        return (1.0 - self.decay) * self.gain
+
 
 @dataclass
 class PlantState:
@@ -60,8 +65,9 @@ class PlantState:
     rng: np.random.Generator
 
 
-def make_state(seed: int, y0: float = 0.0) -> PlantState:
-    return PlantState(float(y0), np.random.default_rng(seed))
+def make_state(seed: int) -> PlantState:
+    """A plant at rest (y = 0) whose tach noise is drawn from `seed`."""
+    return PlantState(0.0, np.random.default_rng(seed))
 
 
 def static_map(params: MotorParams, u: float) -> float:
@@ -79,17 +85,16 @@ def steady_state(params: MotorParams, u: float) -> float:
 
 
 def advance(params: MotorParams, y: float, u: float) -> float:
-    """Noise-free internal output one sample after y under input u."""
-    a = params.decay
-    return a * y + (1.0 - a) * params.gain * static_map(params, u)
+    """Noise-free internal output a*y + drive*s(u) one sample after y."""
+    return params.decay * y + params.drive * static_map(params, u)
 
 
 def step(state: PlantState, params: MotorParams, u: float):
-    """Advance one sample; returns (new_state, measured_y)."""
+    """Advance one sample; returns (new_state, measured_y), the measurement
+    being y plus a N(0, noise_sigma) draw.  The draw is made at sigma 0 too:
+    it is then +0.0, and y is never -0.0, so y is measured unchanged."""
     if not math.isfinite(u):
         raise ValueError("plant input must be finite")
     y_next = advance(params, state.y, u)
-    measured = y_next
-    if params.noise_sigma > 0.0:
-        measured = y_next + state.rng.normal(0.0, params.noise_sigma)
+    measured = y_next + state.rng.normal(0.0, params.noise_sigma)
     return PlantState(y_next, state.rng), float(measured)

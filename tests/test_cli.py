@@ -133,6 +133,7 @@ class TestConfigLoading:
             ("trainer: {lambda_init: 0}", [], "lambda_init"),
             ("trainer: {lambda_init: 1.0e+11}", [], "lambda_init must not exceed lambda_max"),
             ("trainer: {lambda_decrease: 1.0}", [], "lambda_decrease"),
+            ("trainer: {lambda_increase: 1.0}", [], "lambda_increase must exceed 1"),
             ("trainer: {max_epochs: 0}", [], "max_epochs"),
             ("trainer: {goal_ed: -1}", [], "goal_ed"),
             ("trainer: {algorithm: br, alpha_init: .nan}", [], "alpha_init"),
@@ -580,6 +581,17 @@ class TestIoLogBoundary:
         assert "bad_iolog.csv" in err and where in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_iolog_exits_1_naming_it(self, tmp_path, capsys, kind):
+        iolog = tmp_path / "iolog.csv"
+        if kind == "directory":
+            iolog.mkdir()
+        argv = ["--out", str(tmp_path / "out"), "train", "--iolog", str(iolog)]
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot read I/O log" in err and str(iolog) in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def net_text(tmp_path_factory):
@@ -597,6 +609,7 @@ _NET_EDITS = {
     "weight": (8, lambda line: "abc"),
     "layer-width": (1, lambda line: "layers 5 x 1"),
     "weight-count": (7, lambda line: "weights x"),
+    "two-weight-counts": (7, lambda line: line + " 71"),
     "scaling-value": (4, lambda line: line.rsplit(" ", 1)[0] + " abc"),
     "activation": (2, lambda line: "activations relu linear"),
     "input-offset-width": (3, lambda line: " ".join(line.split()[:4])),
@@ -623,6 +636,16 @@ class TestNetworkFileBoundary:
         assert run(["--config", path, command, *nets]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"edited.net: line {index + 1}:" in err
+        assert "Traceback" not in err
+
+    def test_layers_that_disagree_with_the_weights_exit_1_naming_file(
+        self, net_text, tmp_path, capsys
+    ):
+        edited = tmp_path / "edited.net"
+        edited.write_text(net_text.replace("layers 5 10 1\n", "layers 5 9 1\n", 1))
+        assert run(["--out", str(tmp_path / "out"), "control", str(edited)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{edited}: weight vector has length 71, expected 64" in err
         assert "Traceback" not in err
 
     def test_trailing_content_exits_1_naming_file_and_line(self, fast_config, capsys):

@@ -26,11 +26,6 @@ from servoneuro.plant import MotorParams, make_state, step
 from servoneuro.scaling import AffineScaling
 
 
-@pytest.fixture
-def quiet():
-    return MotorParams(noise_sigma=0.0)
-
-
 PROFILE = ReferenceProfile(((1.0, 100), (3.0, 100), (2.0, 100)))
 
 
@@ -103,13 +98,13 @@ class TestRunClosedLoop:
         assert len(err.value.trace) == 10
 
 
-def _reference_loop(params, controller, profile, seed, y0):
+def _reference_loop(params, controller, profile, seed):
     """The closed loop as first written: an array regressor, one `plant.step`
     per sample.  Returns (r, y, u) up to the first non-finite output, and the
     index of that sample (None if there is none)."""
     r = profile.series()
-    state = make_state(seed, y0)
-    y_now = y_prev = float(y0)
+    state = make_state(seed)
+    y_now = y_prev = 0.0
     u1 = u2 = U_MIN
     ys, us = [], []
     for k, r_k in enumerate(r):
@@ -162,13 +157,13 @@ class TestLoopMatchesReference:
     draw per loop change no bit."""
 
     @given(parts=_neural_parts(), profile=_profiles, seed=st.integers(0, 2**31 - 1),
-           sigma=st.sampled_from([0.0, 0.02, 0.1]), y0=st.sampled_from([0.0, 0.6, 2.25]))
+           sigma=st.sampled_from([0.0, 0.02, 0.1]))
     @settings(max_examples=60, deadline=None)
-    def test_trace_bit_for_bit(self, parts, profile, seed, sigma, y0):
+    def test_trace_bit_for_bit(self, parts, profile, seed, sigma):
         params = MotorParams(noise_sigma=sigma)
-        trace = run_closed_loop(params, NeuralController(*parts), profile, seed, y0)
+        trace = run_closed_loop(params, NeuralController(*parts), profile, seed)
         (r, y, u), diverged_at = _reference_loop(
-            params, _batch_controller(*parts), profile, seed, y0)
+            params, _batch_controller(*parts), profile, seed)
         assert diverged_at is None
         for got, want in ((trace.r, r), (trace.y, y), (trace.u, u)):
             assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
@@ -179,10 +174,9 @@ class TestLoopMatchesReference:
     def test_divergence_bit_for_bit(self, parts, seed, n_samples, sigma):
         params = MotorParams(noise_sigma=sigma)
         with pytest.raises(ControllerDivergedError) as err:
-            run_closed_loop(params, _nan_after(n_samples, NeuralController(*parts)), PROFILE,
-                            seed, 0.6)
+            run_closed_loop(params, _nan_after(n_samples, NeuralController(*parts)), PROFILE, seed)
         (r, y, u), diverged_at = _reference_loop(
-            params, _nan_after(n_samples, _batch_controller(*parts)), PROFILE, seed, 0.6)
+            params, _nan_after(n_samples, _batch_controller(*parts)), PROFILE, seed)
         assert diverged_at == n_samples
         assert str(err.value) == f"controller output not finite at sample {diverged_at}"
         partial = err.value.trace

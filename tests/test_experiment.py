@@ -12,11 +12,6 @@ from servoneuro.experiment import (
 from servoneuro.plant import MotorParams, steady_state
 
 
-@pytest.fixture
-def quiet():
-    return MotorParams(noise_sigma=0.0)
-
-
 class TestStepExperiment:
     def test_series_length(self, quiet):
         cfg = StepExperimentConfig(num_steps=3, dwell_samples=100, seed=0)

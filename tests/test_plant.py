@@ -4,11 +4,6 @@ import pytest
 from servoneuro.plant import MotorParams, make_state, static_map, steady_state, step
 
 
-@pytest.fixture
-def quiet():
-    return MotorParams(noise_sigma=0.0)
-
-
 class TestStaticMap:
     def test_inside_dead_zone(self, quiet):
         assert static_map(quiet, 2.0) == 0.0
