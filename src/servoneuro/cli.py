@@ -177,7 +177,7 @@ def load_config(path=None) -> WorkbenchConfig:
     raw = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except ValueError as exc:  # not UTF-8
@@ -210,7 +210,7 @@ def _ensure_outdir(config) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
-        probe.write_text("")
+        probe.write_text("", encoding="utf-8")
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory '{out}' is not writable: {exc}") from exc
@@ -241,11 +241,14 @@ def cmd_train(config, args) -> int:
     iolog_path = Path(args.iolog) if args.iolog else out / "iolog.csv"
     try:
         log = exp.load_iolog(iolog_path)
-        dataset = exp.build_inverse_dataset(log)
     except OSError as exc:
         raise ConfigError(f"cannot read I/O log: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # its message starts with the path
         raise ConfigError(f"invalid I/O log: {exc}") from exc
+    try:
+        dataset = exp.build_inverse_dataset(log)
+    except ValueError as exc:  # e.g. a series whose span overflows its scaling
+        raise ConfigError(f"invalid I/O log: {iolog_path}: {exc}") from exc
     net = mlp.init_weights(
         config.network.layer_sizes,
         config.network.activations,
@@ -320,7 +323,7 @@ def cmd_control(config, args) -> int:
                              title=f"closed loop, seed {seed}", ylabel="volts")
             write_line_chart(out / f"effort_{seed}.svg", {"u": trace.u},
                              title=f"control effort, seed {seed}", ylabel="volts")
-    with open(out / "indices.csv", "w", newline="") as fh:
+    with open(out / "indices.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("seed,mean_abs_error,control_effort\n")
         for seed, idx in rows:
             fh.write(f"{seed},{idx.mean_abs_error!r},{idx.control_effort!r}\n")
@@ -334,6 +337,10 @@ def cmd_compare(config, args) -> int:
     for i, path in enumerate(args.networks):
         if path in args.networks[:i]:
             raise ConfigError(f"network file {path} is given more than once")
+        try:  # a name is a comparison.csv cell, which is UTF-8
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"network file name {ascii(path)} is not valid UTF-8") from None
     out = _ensure_outdir(config)
     controllers = [(path, _load_controller(path)) for path in args.networks]
     report = ctl.compare_controllers(

@@ -327,7 +327,7 @@ class ComparisonReport:
     ranking: list  # names sorted by median mae
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["controller", "seed", "mean_abs_error", "control_effort", "error"])
             writer.writerows(astuple(row) for row in self.rows)
@@ -375,6 +375,6 @@ def compare_controllers(
 def trace_to_csv(trace: ClosedLoopTrace, path):
     # the rows csv.writer would write: a float's repr never needs quoting
     rows = zip(trace.r.tolist(), trace.y.tolist(), trace.u.tolist())
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,r,y,u\r\n")
         fh.writelines(f"{k},{r!r},{y!r},{u!r}\r\n" for k, (r, y, u) in enumerate(rows))

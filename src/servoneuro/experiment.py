@@ -113,7 +113,7 @@ def build_inverse_dataset(log: IoLog) -> Dataset:
 
 
 def save_iolog(log: IoLog, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "u", "y"])
         writer.writerows(zip(range(len(log)), log.u.tolist(), log.y.tolist()))
@@ -131,7 +131,7 @@ def load_iolog(path) -> IoLog:
         for line, text in enumerate(fh, 1):
             yield text
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(numbered(fh))
         try:
             if reader.fieldnames is None or not {"k", "u", "y"} <= set(reader.fieldnames):

@@ -312,7 +312,7 @@ def save_network(path, net: MlpNetwork, input_scaling, target_scaling):
         f"weights {net.n_weights}",
     ]
     lines.extend(repr(float(v)) for v in net.weights)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _parse(path, number, key, text, convert):
@@ -327,7 +327,7 @@ def load_network(path):
     """Read a serialized network; returns (net, input_scaling, target_scaling).
     A ValueError names the file and, for a bad value, its line."""
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != _MAGIC:

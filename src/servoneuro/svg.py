@@ -59,4 +59,4 @@ def write_line_chart(path, series, title="", ylabel=""):
             f'fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

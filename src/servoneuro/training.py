@@ -149,7 +149,7 @@ class TrainReport:
     stop_reason: StopReason
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["epoch", "E_D", "E_W", "E_R", "lambda", "alpha", "beta", "gamma", "val_ED"]
@@ -235,7 +235,7 @@ def _patterns(net, X):
 # --- trainers --------------------------------------------------------------
 
 
-def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
+def _gauss_newton(net, data: Dataset, lm: LmConfig, norm, alpha=1.0, beta=0.0,
                   reestimate=None, epoch_hook=None):
     """Damped Gauss-Newton accept/reject loop shared by every trainer.
 
@@ -246,10 +246,10 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
 
     `reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)` runs once per epoch,
     before the first lambda trial, and returns (alpha, beta, gamma) for that
-    epoch.  A LinAlgError there is a failed trial: lambda is raised and the
-    re-estimate retried.  `epoch_hook(net, rec)` runs after each accepted
-    epoch and may return True to request an early stop.  Returns (network,
-    records, stop reason).
+    epoch and its record.  A LinAlgError there is a failed trial: lambda is
+    raised and the re-estimate retried.  `epoch_hook(net, rec)` runs after
+    each accepted epoch and may return True to request an early stop.
+    Returns (network, TrainReport) where the run stops.
     """
 
     def objective(sse, ww):  # with alpha and beta as re-estimated so far
@@ -261,12 +261,12 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         with np.errstate(over="ignore", invalid="ignore"):
             return acts, e, float(np.dot(e, e)), float(np.dot(net.weights, net.weights))
 
-    P = X.shape[0]
+    P = data.n_patterns
     # One column-major copy of X per run: the first layer's gemm X @ W' runs
     # about twice as fast on it and rounds the same, and error_jacobian reads
     # X' (acts[0].T) without a copy.  A one-unit first layer is a gemv instead,
     # whose rounding depends on the layout, so there X stays row-major.
-    X = _patterns(net, X)
+    X, D = _patterns(net, data.scaled_inputs()), data.scaled_targets()
     net = net.with_weights(net.weights.copy())
     lam = lm.lambda_init
     records = []
@@ -274,8 +274,7 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
     if not np.isfinite(objective(sse, ww)):
         raise TrainingDivergedError("initial loss is not finite")
 
-    stop = StopReason.MAX_EPOCHS
-    gamma = None
+    hyper = ()  # the epoch's re-estimated (alpha, beta, gamma), for its record
     # One J' and one J'e scratch for the whole run: freeing them between
     # epochs lets the allocator return and re-fault the pages.  J' is the only
     # full-size Jacobian buffer; the scratch is P by at most 17 weights.
@@ -294,47 +293,37 @@ def _gauss_newton(net, X, D, lm: LmConfig, norm, alpha=1.0, beta=0.0,
             try:
                 if system is None:
                     if reestimate is not None:  # at the old alpha, beta; the step at the new
-                        alpha, beta, gamma = reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)
+                        alpha, beta, _ = hyper = reestimate(epoch, JtJ, lam, sse, ww, alpha, beta)
                     f = objective(sse, ww)
                     scale = alpha / norm
                     system = _hessian(JtJ, scale, beta), scale * Jte + 2.0 * beta * net.weights
                 cand = net.with_weights(net.weights + _solve_step(*system, lam))
                 evaluated = evaluate(cand)
                 f_cand = objective(*evaluated[2:])
-                ok = math.isfinite(f_cand) and f_cand < f
-            except np.linalg.LinAlgError:
-                ok = False
-            if ok:
-                net, (acts, e, sse, ww), f = cand, evaluated, f_cand
-                lam = max(lam * lm.lambda_decrease, _TINY)
-                break
+                if math.isfinite(f_cand) and f_cand < f:
+                    break
+            except np.linalg.LinAlgError:  # a rejected trial
+                pass
             lam *= lm.lambda_increase
             if lam > lm.lambda_max:
-                break
-        if not ok:
-            stop = StopReason.LAMBDA_OVERFLOW
-            break
+                return net, TrainReport(records, StopReason.LAMBDA_OVERFLOW)
+        net, (acts, e, sse, ww) = cand, evaluated
+        lam = max(lam * lm.lambda_decrease, _TINY)
 
         ed = sse / (2.0 * P)
-        rec = EpochRecord(epoch, ed, ww, f, lam)
-        if reestimate is not None:
-            rec.alpha, rec.beta, rec.gamma = alpha, beta, gamma
-        hook_stop = bool(epoch_hook(net, rec)) if epoch_hook else False
+        rec = EpochRecord(epoch, ed, ww, f_cand, lam, *hyper)
+        stop_early = epoch_hook is not None and epoch_hook(net, rec)
         records.append(rec)
         if ed <= lm.goal_ed:
-            stop = StopReason.GOAL_REACHED
-            break
-        if hook_stop:
-            stop = StopReason.EARLY_STOP
-            break
-    return net, records, stop
+            return net, TrainReport(records, StopReason.GOAL_REACHED)
+        if stop_early:
+            return net, TrainReport(records, StopReason.EARLY_STOP)
+    return net, TrainReport(records, StopReason.MAX_EPOCHS)
 
 
 def train_lm(net: MlpNetwork, data: Dataset, cfg: LmConfig):
     """Plain Levenberg-Marquardt on E_D."""
-    X, D = data.scaled_inputs(), data.scaled_targets()
-    net, records, stop = _gauss_newton(net, X, D, cfg, data.n_patterns)
-    return net, TrainReport(records, stop)
+    return _gauss_newton(net, data, cfg, data.n_patterns)
 
 
 def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
@@ -343,7 +332,6 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
     Stops once validation E_D has risen for `patience` consecutive epochs.
     Ties on validation error keep the earlier snapshot."""
     train_set, val_set = split_dataset(data, cfg.validation_fraction, cfg.split_seed)
-    X, D = train_set.scaled_inputs(), train_set.scaled_targets()
     Xv, Dv = _patterns(net, val_set.scaled_inputs()), val_set.scaled_targets()
 
     best_val = np.inf
@@ -360,8 +348,8 @@ def train_early_stopping(net: MlpNetwork, data: Dataset, cfg: EarlyStopConfig):
         prev_val = val
         return rises >= cfg.patience
 
-    _, records, stop = _gauss_newton(net, X, D, cfg.lm, train_set.n_patterns, epoch_hook=hook)
-    return best, TrainReport(records, stop)
+    _, report = _gauss_newton(net, train_set, cfg.lm, train_set.n_patterns, epoch_hook=hook)
+    return best, report
 
 
 def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
@@ -372,8 +360,7 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
     the report's E_R, alpha and beta refer to alpha*sum(e^2)/2 + beta*E_W,
     while its E_D column keeps the (1/2P)-normalized convention.
     """
-    X, D = data.scaled_inputs(), data.scaled_targets()
-    N = net.n_weights
+    N, n_errors = net.n_weights, data.targets.size
 
     def reestimate(epoch, JtJ, lam, sse, ww, alpha, beta):
         # effective parameter count from the damped Hessian trace (norm is 1);
@@ -384,13 +371,11 @@ def train_br(net: MlpNetwork, data: Dataset, cfg: BrConfig):
         if epoch > 1:  # every epoch after the first, as Foresee & Hagan (1997) do
             eds = 0.5 * sse
             beta = min(max(gamma / (2.0 * max(ww, _TINY)), _HYPER_LO), _HYPER_HI)
-            alpha = min(max((D.size - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO), _HYPER_HI)
+            alpha = min(max((n_errors - gamma) / (2.0 * max(eds, _TINY)), _HYPER_LO), _HYPER_HI)
         return alpha, beta, gamma
 
-    net, records, stop = _gauss_newton(
-        net, X, D, cfg.lm, 1.0, cfg.alpha_init, cfg.beta_init, reestimate=reestimate
-    )
-    return net, TrainReport(records, stop)
+    return _gauss_newton(net, data, cfg.lm, 1.0, cfg.alpha_init, cfg.beta_init,
+                         reestimate=reestimate)
 
 
 def split_dataset(data: Dataset, fraction: float, seed: int):

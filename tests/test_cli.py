@@ -4,6 +4,8 @@ import dataclasses
 import io
 import math
 import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -32,7 +34,7 @@ def run(args):
 
 def write_config(tmp_path, text=""):
     path = tmp_path / "config.yaml"
-    path.write_text(textwrap.dedent(text))
+    path.write_text(textwrap.dedent(text), encoding="utf-8")
     return str(path)
 
 
@@ -195,7 +197,7 @@ class TestConfigLoading:
         assert not out.exists()
 
     def test_readme_example_loads(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
         config = load_config(write_config(tmp_path, example))
         assert type(config.trainer) is BrConfig
@@ -568,9 +570,13 @@ class TestIoLogBoundary:
              "line 6:"),
             (["0,3.0,0.0", "1,3.0,0.1", "2,3.0,0.2", "3,3.0,0.3", f'4,"3.0\n{_LONG_FIELD}",0.4'],
              "line 7:"),
+            # every value is finite, but u's span is not: no scaling fits it
+            (["0,1e308,0.0", "1,-1e308,0.1", "2,1e308,0.2", "3,-1e308,0.3", "4,1e308,0.4"],
+             "scaling gain must be finite"),
         ],
         ids=["nan", "inf", "text", "missing-field", "two-rows", "three-rows",
-             "field-past-limit", "quoted-field-past-limit", "field-past-limit-on-next-line"],
+             "field-past-limit", "quoted-field-past-limit", "field-past-limit-on-next-line",
+             "span-overflows-scaling"],
     )
     def test_bad_iolog_exits_1_naming_file_and_row(self, tmp_path, capsys, rows, where):
         iolog = tmp_path / "bad_iolog.csv"
@@ -675,6 +681,36 @@ def test_undecodable_input_file_exits_1_naming_it(net_text, tmp_path, capsys, ki
     err = capsys.readouterr().err
     assert str(bad) in err and "decode" in err
     assert "Traceback" not in err
+
+
+def test_utf8_config_is_read_under_an_ascii_locale(tmp_path):
+    # with locale coercion and UTF-8 mode off, the C locale's encoding is ASCII
+    config = tmp_path / "config.yaml"
+    config.write_text("experiment: {num_steps: 2, dwell_samples: 10}  # \u03c3 \u2014 volts\n",
+                      encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "servoneuro.cli", "--config", str(config),
+         "--out", str(tmp_path / "out"), "collect"],
+        env=env, capture_output=True, encoding="utf-8",
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "out" / "iolog.csv").is_file()
+
+
+@pytest.mark.skipif(sys.getfilesystemencoding() != "utf-8", reason="a UTF-8 file system")
+def test_compare_rejects_a_network_file_name_that_is_not_utf8(net_text, tmp_path, capsys):
+    # Linux file names are bytes; this one decodes to a lone surrogate
+    good, bad = tmp_path / "good.net", tmp_path / os.fsdecode(b"l\xe4.net")
+    for net in (good, bad):
+        net.write_text(net_text)
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "compare", str(good), str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"network file name {ascii(str(bad))} is not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # Path collisions, not permissions: the suite may run as root, whom a chmod

@@ -32,4 +32,4 @@ def test_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", FILES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_import(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -268,6 +268,18 @@ class TestTrainLm:
         train_lm(net, ds, LmConfig(max_epochs=5))
         assert np.array_equal(net.weights, before)
 
+    def test_lambda_overflow_returns_the_last_accepted_epoch(self):
+        # with lambda_max 1e-3 the second epoch's trials at 1e-4 and 1e-3 are
+        # both rejected, so the run ends on the first epoch's network
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        trained, report = train_lm(net, ds, LmConfig(lambda_max=1e-3))
+        one_net, one = train_lm(net, ds, LmConfig(lambda_max=1e-3, max_epochs=1))
+        assert report.stop_reason is StopReason.LAMBDA_OVERFLOW
+        assert one.stop_reason is StopReason.MAX_EPOCHS
+        assert np.array_equal(trained.weights, one_net.weights)
+        assert report.records == one.records
+
 
 class TestTrainBr:
     def test_shrinks_weights_on_noisy_data(self):
@@ -412,6 +424,31 @@ class TestEarlyStopping:
             if report.stop_reason is StopReason.EARLY_STOP:
                 stopped += 1
         assert stopped >= 8
+
+    def test_lambda_overflow_returns_the_best_snapshot(self):
+        # validation E_D rises on epoch 2, then the third epoch overflows lambda
+        ds = sine_dataset(noise=0.1, seed=2)
+        net = mlp.init_weights([1, 10, 1], ["tanh", "linear"], seed=2, scale=0.5)
+        cfg = EarlyStopConfig(lm=LmConfig(lambda_max=1e-2, lambda_decrease=0.5))
+        trained, report = train_early_stopping(net, ds, cfg)
+        _, val = split_dataset(ds, cfg.validation_fraction, cfg.split_seed)
+        vals = [r.val_ed for r in report.records]
+        assert report.stop_reason is StopReason.LAMBDA_OVERFLOW
+        assert len(vals) == 2 and vals[0] < vals[1]
+        assert compute_ed(trained, val) == min(vals)
+
+    def test_goal_wins_over_an_early_stop_on_the_same_epoch(self):
+        ds = sine_dataset(noise=0.1)
+        net = mlp.init_weights([1, 6, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        cfg = EarlyStopConfig(patience=1, lm=LmConfig(max_epochs=60))
+        stopped, report = train_early_stopping(net, ds, cfg)
+        assert report.stop_reason is StopReason.EARLY_STOP
+        assert len(report.records) == 13
+        goal = EarlyStopConfig(patience=1, lm=LmConfig(max_epochs=60, goal_ed=report.records[-1].ed))
+        reached, goal_report = train_early_stopping(net, ds, goal)
+        assert goal_report.stop_reason is StopReason.GOAL_REACHED
+        assert goal_report.records == report.records
+        assert np.array_equal(reached.weights, stopped.weights)
 
     def test_huge_patience_matches_train_lm_trace(self):
         ds = self.noisy_overparam(0)
