@@ -112,45 +112,49 @@ def build_inverse_dataset(log: IoLog) -> Dataset:
     return Dataset.from_raw(inputs, targets)
 
 
+# The columns of an I/O log file, in the order `save_iolog` writes them.
+_COLUMNS = ("k", "u", "y")
+
+
 def save_iolog(log: IoLog, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "u", "y"])
+        writer.writerow(_COLUMNS)
         writer.writerows(zip(range(len(log)), log.u.tolist(), log.y.tolist()))
 
 
 def load_iolog(path) -> IoLog:
     """Read a log written by `save_iolog`.  Every u and y must be a finite
     number and the log must be long enough to train on; a ValueError names the
-    file and, for a bad value, its line."""
+    file and, for a bad value, its line.  Columns come in any order, among
+    others; a repeated name reads its last column."""
     u, y = [], []
-    line = 0  # the file lines read so far; csv's line_num omits a line it fails on
-
-    def numbered(fh):
-        nonlocal line
-        for line, text in enumerate(fh, 1):
-            yield text
-
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(numbered(fh))
+        reader = csv.reader(fh)  # line_num counts the line a row, or a csv.Error, ends on
         try:
-            if reader.fieldnames is None or not {"k", "u", "y"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: expected CSV header with columns k,u,y")
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            if not column.keys() >= set(_COLUMNS):
+                raise ValueError(f"{path}: expected CSV header with columns {','.join(_COLUMNS)}")
+            iu, iy = column["u"], column["y"]
             for row in reader:
+                if not row:  # a blank line
+                    continue
+                row += [None] * (len(header) - len(row))  # a short row's missing fields
                 try:
-                    uk, yk = float(row["u"]), float(row["y"])
+                    uk, yk = float(row[iu]), float(row[iy])
                     finite = math.isfinite(uk) and math.isfinite(yk)
                 except (TypeError, ValueError):
                     finite = False
                 if not finite:
                     raise ValueError(
-                        f"{path}: line {line}: u and y must be finite "
-                        f"numbers, got u={row['u']!r}, y={row['y']!r}"
+                        f"{path}: line {reader.line_num}: u and y must be finite "
+                        f"numbers, got u={row[iu]!r}, y={row[iy]!r}"
                     )
                 u.append(uk)
                 y.append(yk)
         except csv.Error as exc:
-            raise ValueError(f"{path}: line {line}: {exc}") from exc
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:

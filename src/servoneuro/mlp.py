@@ -297,21 +297,20 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
 # --- serialization ---------------------------------------------------------
 
 _MAGIC = "servoneuro-net 1"
+# The header keys, one a line in this order after the magic line; then the weights.
+_HEADER = ("layers", "activations", "input_offset", "input_gain", "target_offset",
+           "target_gain", "weights")
 
 
 def save_network(path, net: MlpNetwork, input_scaling, target_scaling):
     """Write a network plus its scaling metadata as round-trip-exact text."""
-    lines = [
-        _MAGIC,
-        "layers " + " ".join(str(n) for n in net.layer_sizes),
-        "activations " + " ".join(a.value for a in net.activations),
-        "input_offset " + " ".join(repr(float(v)) for v in input_scaling.offset),
-        "input_gain " + " ".join(repr(float(v)) for v in input_scaling.gain),
-        "target_offset " + " ".join(repr(float(v)) for v in target_scaling.offset),
-        "target_gain " + " ".join(repr(float(v)) for v in target_scaling.gain),
-        f"weights {net.n_weights}",
-    ]
-    lines.extend(repr(float(v)) for v in net.weights)
+    values = (net.layer_sizes, [a.value for a in net.activations],
+              input_scaling.offset.tolist(), input_scaling.gain.tolist(),
+              target_scaling.offset.tolist(), target_scaling.gain.tolist(), [net.n_weights])
+    # a Python float's str is its round-trip-exact repr
+    header = zip(_HEADER, values, strict=True)
+    lines = [_MAGIC, *(f"{key} {' '.join(map(str, v))}" for key, v in header)]
+    lines.extend(map(str, net.weights.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -333,20 +332,12 @@ def load_network(path):
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a servoneuro network file")
 
+    start = 1 + len(_HEADER)  # the index of the first weight line
     fields = {}
-    for number, line in enumerate(lines[1:8], start=2):
+    for number, line in enumerate(lines[1:start], start=2):
         key, _, rest = line.partition(" ")
         fields[key] = number, rest.split()
-    required = (
-        "layers",
-        "activations",
-        "input_offset",
-        "input_gain",
-        "target_offset",
-        "target_gain",
-        "weights",
-    )
-    missing = [k for k in required if k not in fields]
+    missing = [k for k in _HEADER if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing header field(s) {missing}")
 
@@ -360,13 +351,15 @@ def load_network(path):
     if len(counts) != 1:
         raise ValueError(f"{path}: line {number}: header field 'weights' must hold one count")
     count = counts[0]
-    values = [_parse(path, n, "weight", t, float) for n, t in enumerate(lines[8 : 8 + count], 9)]
+    end = start + count
+    values = [_parse(path, n, "weight", t, float)
+              for n, t in enumerate(lines[start:end], start + 1)]
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} weights, found {len(values)}")
-    if len(lines) > 8 + count:
+    if len(lines) > end:
         raise ValueError(
-            f"{path}: line {9 + count}: unexpected content after the {count} weights: "
-            f"{lines[8 + count]!r}"
+            f"{path}: line {end + 1}: unexpected content after the {count} weights: "
+            f"{lines[end]!r}"
         )
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: weights must be finite")

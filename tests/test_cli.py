@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,6 +26,7 @@ from servoneuro.experiment import StepExperimentConfig
 from servoneuro.mlp import ArchitectureError, MlpNetwork, init_weights, save_network, weight_count
 from servoneuro.plant import MotorParams
 from servoneuro.scaling import AffineScaling
+from servoneuro.svg import write_line_chart
 from servoneuro.training import BrConfig, EarlyStopConfig, LmConfig
 
 
@@ -347,6 +349,13 @@ class TestTrainControlCompare:
         path, _ = fast_config
         assert run(["--config", path, "control", "/nope/missing.net"]) == EXIT_CONFIG
 
+    def test_control_needs_a_network_or_oracle(self, fast_config, capsys):
+        path, _ = fast_config
+        assert run(["--config", path, "control"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "control needs a network file (or --oracle)" in err
+        assert "Traceback" not in err
+
     def test_compare_requires_two_networks(self, fast_config):
         path, out = fast_config
         run(["--config", path, "collect"])
@@ -587,17 +596,6 @@ class TestIoLogBoundary:
         assert "bad_iolog.csv" in err and where in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_iolog_exits_1_naming_it(self, tmp_path, capsys, kind):
-        iolog = tmp_path / "iolog.csv"
-        if kind == "directory":
-            iolog.mkdir()
-        argv = ["--out", str(tmp_path / "out"), "train", "--iolog", str(iolog)]
-        assert run(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "cannot read I/O log" in err and str(iolog) in err
-        assert "Traceback" not in err
-
 
 @pytest.fixture(scope="module")
 def net_text(tmp_path_factory):
@@ -683,6 +681,22 @@ def test_undecodable_input_file_exits_1_naming_it(net_text, tmp_path, capsys, ki
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("how", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["config", "iolog", "net"])
+def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, kind, how):
+    path = tmp_path / f"input.{kind}"
+    if how == "directory":
+        path.mkdir()
+    argv = {"config": ["--config", str(path), "collect"],
+            "iolog": ["train", "--iolog", str(path)],
+            "net": ["control", str(path)]}[kind]
+    assert run(["--out", str(tmp_path / "out"), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    what = {"config": "config file", "iolog": "I/O log", "net": "network file"}[kind]
+    assert f"cannot read {what}" in err and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_utf8_config_is_read_under_an_ascii_locale(tmp_path):
     # with locale coercion and UTF-8 mode off, the C locale's encoding is ASCII
     config = tmp_path / "config.yaml"
@@ -746,6 +760,23 @@ class TestSvgEmission:
         svg = (tmp_path / "out" / "train_errors.svg").read_text()
         assert svg.count("<polyline") == 2
         assert ">E_D</text>" in svg and ">val E_D</text>" in svg
+
+    def test_controller_pinned_at_u_min_draws_a_flat_finite_chart(self, tmp_path):
+        net = tmp_path / "pinned.net"
+        net.write_text(_constant_net(0.0))  # clamped to U_MIN at every sample
+        profile = "[{level: 1.0, duration: 9}]"
+        path = write_config(tmp_path, f"evaluation: {{seeds: [0], profile: {profile}}}")
+        out = tmp_path / "out"
+        assert run(["--config", path, "--out", str(out), "--svg", "control", str(net)]) == EXIT_OK
+        svg = (out / "effort_0.svg").read_text()
+        points = [p.split(",") for p in re.search(r'points="([^"]*)"', svg)[1].split()]
+        assert len(points) > 1 and len({y for _, y in points}) == 1
+        assert all(math.isfinite(float(v)) for point in points for v in point)
+        assert not re.search(r"\b(nan|inf)\b", svg)
+
+    def test_no_series_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no series to plot"):
+            write_line_chart(tmp_path / "empty.svg", {})
 
 
 class TestSeedOverride:

@@ -78,7 +78,48 @@ class TestBuildInverseDataset:
         assert scaled.max() <= 1.0 + 1e-12
 
 
+_U, _Y = [3.0, 3.5, 4.0, 4.5, 5.0], [0.5, 0.25, 0.125, 1.5, 2.5]
+_ROWS = [f"{k},{u},{y}" for k, (u, y) in enumerate(zip(_U, _Y))]
+
+
+def _text(header, rows, end="\n"):
+    return end.join([header, *rows]) + end
+
+
+# the text of an I/O log -> the (u, y) it loads as, or its error after the path
+_IOLOG_SHAPES = {
+    "any-column-order": (_text("y,extra,k,u", [f"{y},x,{k},{u}" for k, (u, y)
+                                               in enumerate(zip(_U, _Y))]), (_U, _Y)),
+    "repeated-name-reads-last": (_text("k,u,y,u", [f"{r},9.0" for r in _ROWS]),
+                                 ([9.0] * 5, _Y)),
+    "blank-lines": ("k,u,y\n\n" + "\n\n".join(_ROWS) + "\n\n", (_U, _Y)),
+    "crlf": (_text("k,u,y", _ROWS, end="\r\n"), (_U, _Y)),
+    "extra-field": (_text("k,u,y", [*_ROWS[:2], _ROWS[2] + ",7.0", *_ROWS[3:]]), (_U, _Y)),
+    "quoted-newline": (_text("k,u,y", ['0,"3.0\n",0.5', *_ROWS[1:]]), (_U, _Y)),
+    "short-row": (_text("k,u,y", [*_ROWS, "5,8.0"]),
+                  "line 7: u and y must be finite numbers, got u='8.0', y=None"),
+    "short-row-u-last": (_text("k,y,u", [*_ROWS, "5,8.0"]),
+                         "line 7: u and y must be finite numbers, got u=None, y='8.0'"),
+    "empty": ("", "expected CSV header with columns k,u,y"),
+    "blank-first-line": ("\n" + _text("k,u,y", _ROWS), "expected CSV header with columns k,u,y"),
+    "header-only": ("k,u,y\n", "log too short (0 samples, need at least 4)"),
+}
+
+
 class TestIoLogCsv:
+    @pytest.mark.parametrize("case", sorted(_IOLOG_SHAPES))
+    def test_accepted_and_rejected_shapes(self, tmp_path, case):
+        text, expected = _IOLOG_SHAPES[case]
+        path = tmp_path / "iolog.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                load_iolog(path)
+            assert str(exc.value) == f"{path}: {expected}"
+            return
+        log = load_iolog(path)
+        assert np.array_equal(log.u, expected[0]) and np.array_equal(log.y, expected[1])
+
     def test_round_trip_exact(self, tmp_path):
         params = MotorParams(noise_sigma=0.02)
         cfg = StepExperimentConfig(num_steps=3, dwell_samples=15, seed=5)

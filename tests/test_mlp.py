@@ -200,6 +200,44 @@ class TestSerialization:
         assert in_l == in_s
         assert out_l == out_s
 
+    @pytest.mark.parametrize(
+        "sizes,acts",
+        [([5, 10, 1], ["tanh", "linear"]), ([3, 4, 4, 2], ["tanh", "linear", "tanh"]),
+         ([1, 1, 1], ["linear", "linear"])],
+        ids=["5-10-1", "3-4-4-2", "1-1-1"],
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path, sizes, acts):
+        net = mlp.init_weights(sizes, acts, seed=7, scale=0.8)
+        n_in, n_out = sizes[0], sizes[-1]
+        in_s = AffineScaling(np.linspace(-1.5, 2.25, n_in), np.linspace(0.1, 3.0, n_in))
+        out_s = AffineScaling(np.full(n_out, 4.5), np.linspace(0.3, 2.0, n_out))
+        first, second = tmp_path / "first.net", tmp_path / "second.net"
+        mlp.save_network(first, net, in_s, out_s)
+        mlp.save_network(second, *mlp.load_network(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_lines_load_in_any_order(self, tmp_path):
+        net = mlp.init_weights([2, 3, 1], ["tanh", "linear"], seed=1, scale=0.5)
+        path = tmp_path / "net.txt"
+        mlp.save_network(path, net, unit_scaling(2), unit_scaling(1))
+        lines = path.read_text().splitlines()
+        lines[1], lines[4] = lines[4], lines[1]  # layers <-> input_gain
+        path.write_text("\n".join(lines) + "\n")
+        loaded, in_l, out_l = mlp.load_network(path)
+        assert loaded == net
+        assert in_l == unit_scaling(2)
+        assert out_l == unit_scaling(1)
+
+    def test_missing_header_field_named(self, tmp_path):
+        net = mlp.init_weights([2, 2, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        path = tmp_path / "net.txt"
+        mlp.save_network(path, net, unit_scaling(2), unit_scaling(1))
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("weights")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            mlp.load_network(path)
+        assert str(exc.value) == f"{path}: missing header field(s) ['weights']"
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a network\n")
