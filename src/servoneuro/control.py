@@ -147,34 +147,32 @@ def run_closed_loop(
     """Feed the controller's (clamped) output to the plant sample by sample.
 
     The controller gets the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] as
-    a sequence of five floats in raw volts and returns u(k).  The loop starts
-    at rest (y lags at 0 V, u lags at the actuator floor U_MIN).  y(k) in the
-    trace is the measured response to u(k).  The loop advances the plant as
-    `plant.step` does, with its noise drawn in one call: the same numbers,
-    bit for bit, as one `step` per sample from `make_state(seed)`.
+    a sequence of five floats in raw volts and returns u(k), its lags read
+    from the loop's history of (y, u).  The history starts at rest: two
+    samples of y = 0 V and u = the actuator floor U_MIN, which the trace
+    leaves out.  y(k) in the trace is the measured response to u(k).  The
+    loop advances the plant as `plant.step` does, with its noise drawn in one
+    call: the same numbers, bit for bit, as one `step` per sample from
+    `make_state(seed)`.
     """
     r = profile.series()
     noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
-    y_state = y_now = y_prev = 0.0
-    u1 = u2 = U_MIN
-    ys = []
-    us = []
+    y_state = 0.0
+    ys = [0.0, 0.0]  # the rest state, then each sample's y(k)
+    us = [U_MIN, U_MIN]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
         for k, r_k in enumerate(r.tolist()):
-            u = float(controller((r_k, y_now, y_prev, u1, u2)))
+            u = float(controller((r_k, ys[-1], ys[-2], us[-1], us[-2])))
             if not math.isfinite(u):
-                partial = ClosedLoopTrace(r[:k], ys, us)
+                partial = ClosedLoopTrace(r[:k], ys[2:], us[2:])
                 raise ControllerDivergedError(
                     f"controller output not finite at sample {k}", partial
                 )
             u = min(max(u, U_MIN), U_MAX)
             y_state = advance(params, y_state, u)
-            measured = y_state + noise[k]
-            ys.append(measured)
+            ys.append(y_state + noise[k])
             us.append(u)
-            y_prev, y_now = y_now, measured
-            u2, u1 = u1, u
-    return ClosedLoopTrace(r, ys, us)
+    return ClosedLoopTrace(r, ys[2:], us[2:])
 
 
 def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:
@@ -220,38 +218,38 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
     layers = stack_layers([c.net for c in controllers])
     decay, drive = params.decay, params.drive
     span = params.saturation - params.dead_zone
-    noise = np.empty((n, G))
+    # hist[k + 2] holds each loop's (y(k), u(k)) and rows 0-1 the rest state;
+    # y(k) starts as the loop's noise draw and gets the plant output added
+    hist = np.empty((n + 2, 2, G))
+    hist[:2, 0] = 0.0
+    hist[:2, 1] = U_MIN
     for g, (_, seed) in enumerate(jobs):
-        noise[:, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
-    # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)]
+        hist[2:, 0, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
+    # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)],
+    # whose lags, as (G, signal, lag), are read from hist's two newest rows
     reg = np.empty((G, REGRESSOR_WIDTH))
-    reg[:, 1:3] = 0.0
-    reg[:, 3:] = U_MIN
-    ys = np.empty((n, G))
-    us = np.empty((n, G))
+    lags = reg[:, 1:].reshape(G, 2, 2)
     y = np.zeros(G)  # noise-free plant output
     ones = np.ones(G)
     stop = np.full(G, n)  # first sample with a non-finite output
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
         for k, r_k in enumerate(r.tolist()):
             reg[:, 0] = r_k
+            lags[...] = hist[k : k + 2][::-1].transpose(2, 1, 0)
             u = forward_stacked(layers, (reg - in_offset) * in_gain)[:, 0] / out_gain + out_offset
             if not math.isfinite(u.dot(ones)):  # a sum, not finite if any u is not
                 stop[~np.isfinite(u) & (stop == n)] = k
                 if (stop < n).all():
                     break
-            u = np.minimum(np.maximum(u, U_MIN), U_MAX)
+            row = hist[k + 2]
+            u = np.minimum(np.maximum(u, U_MIN), U_MAX, out=row[1])
             # static_map: rounding is monotonic, so this picks its value bit for bit
             s = np.minimum(np.maximum(u - params.dead_zone, 0.0), span)
             y = decay * y + drive * s
-            ys[k] = measured = y + noise[k]
-            us[k] = u
-            reg[:, 2::2] = reg[:, 1:4:2]
-            reg[:, 1] = measured
-            reg[:, 3] = u
+            row[0] += y  # noise + y: the bits of y + noise
     loops = []
     for g, m in enumerate(stop.tolist()):
-        trace = ClosedLoopTrace(r[:m], ys[:m, g], us[:m, g])
+        trace = ClosedLoopTrace(r[:m], hist[2 : m + 2, 0, g], hist[2 : m + 2, 1, g])
         if m < n:
             trace = ControllerDivergedError(f"controller output not finite at sample {m}", trace)
         loops.append(trace)

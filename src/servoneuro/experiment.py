@@ -129,7 +129,7 @@ def load_iolog(path) -> IoLog:
     file and, for a bad value, its line.  Columns come in any order, among
     others; a repeated name reads its last column."""
     u, y = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
         reader = csv.reader(fh)  # line_num counts the line a row, or a csv.Error, ends on
         try:
             header = next(reader, [])

@@ -348,8 +348,9 @@ def load_network(path):
     layer_sizes = tuple(header("layers", int)[1])
     activations = tuple(header("activations", ActivationKind)[1])
     number, counts = header("weights", int)
-    if len(counts) != 1:
-        raise ValueError(f"{path}: line {number}: header field 'weights' must hold one count")
+    if len(counts) != 1 or counts[0] < 0:
+        raise ValueError(
+            f"{path}: line {number}: header field 'weights' must hold one nonnegative count")
     count = counts[0]
     end = start + count
     values = [_parse(path, n, "weight", t, float)

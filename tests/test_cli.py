@@ -614,6 +614,7 @@ _NET_EDITS = {
     "layer-width": (1, lambda line: "layers 5 x 1"),
     "weight-count": (7, lambda line: "weights x"),
     "two-weight-counts": (7, lambda line: line + " 71"),
+    "negative-weight-count": (7, lambda line: "weights -40"),
     "scaling-value": (4, lambda line: line.rsplit(" ", 1)[0] + " abc"),
     "activation": (2, lambda line: "activations relu linear"),
     "input-offset-width": (3, lambda line: " ".join(line.split()[:4])),

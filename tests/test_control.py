@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -316,6 +317,21 @@ class TestRunClosedLoops:
         expected = [_trace_or_divergence(params, c, profile, seed) for c, seed in jobs]
         assert [len(loop.trace) for loop in expected] == [0, 50, 100]
         _assert_same_loops(run_closed_loops(params, profile, jobs, _keep), expected)
+
+    def test_lockstep_keeps_one_history_of_y_and_u(self, quiet):
+        # each loop's y and u are stored once, in an (n + 2, 2, G) history, so
+        # the run peaks at about 2.2x n * G doubles; separate noise, y and u
+        # buffers took it to 3.2x
+        profile, G = ctl.DEFAULT_PROFILE, 30
+        jobs = [(_neural(_ARCHITECTURES[0], seed), seed) for seed in range(G)]
+        tracemalloc.start()
+        try:
+            loops = ctl._run_lockstep(quiet, profile, jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(len(loop) == len(profile) for loop in loops)
+        assert peak < 2.5 * len(profile) * G * 8
 
     def test_lockstep_groups_share_architecture(self):
         # layer sizes and activations both set the group; the weights do not

@@ -94,6 +94,8 @@ _IOLOG_SHAPES = {
                                  ([9.0] * 5, _Y)),
     "blank-lines": ("k,u,y\n\n" + "\n\n".join(_ROWS) + "\n\n", (_U, _Y)),
     "crlf": (_text("k,u,y", _ROWS, end="\r\n"), (_U, _Y)),
+    # as spreadsheet tools export CSV
+    "byte-order-mark": ("\ufeff" + _text("k,u,y", _ROWS), (_U, _Y)),
     "extra-field": (_text("k,u,y", [*_ROWS[:2], _ROWS[2] + ",7.0", *_ROWS[3:]]), (_U, _Y)),
     "quoted-newline": (_text("k,u,y", ['0,"3.0\n",0.5', *_ROWS[1:]]), (_U, _Y)),
     "short-row": (_text("k,u,y", [*_ROWS, "5,8.0"]),

@@ -4,7 +4,8 @@ Identical configurations reproduce byte-identical artifacts, so a refactor
 that must not change behaviour can prove it: these hashes stay fixed.  A
 deliberate behaviour change updates them and says why in CHANGES.md.  The
 hashes were taken with 64-bit NumPy on x86-64; another BLAS build may round
-the normal equations differently and shift them.
+the normal equations differently and shift them, so a mismatch names the
+OpenBLAS core it ran on.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import shutil
 
 import pytest
 
+from conftest import blas_core
 from servoneuro import mlp
 from servoneuro import training as tr
 from servoneuro.cli import main
@@ -68,8 +70,18 @@ CRITERION_6 = {
 }
 
 
+# the OpenBLAS core whose kernels the hashes above were recorded under
+RECORDED_CORE = "SkylakeX"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _kernel():
+    """Which BLAS kernels ran, against those the hashes were recorded under."""
+    core = blas_core() or "not numpy's bundled OpenBLAS"
+    return f"hashes recorded under OpenBLAS core {RECORDED_CORE}; this run's BLAS: {core}"
 
 
 def _config(directory, algorithm="lm"):
@@ -102,7 +114,7 @@ def pipelines(tmp_path_factory):
 def test_zero_config_pipeline_artifacts(pipelines, algorithm):
     out = pipelines[algorithm]
     hashes = {name: sha256((out / name).read_bytes()) for name in CLI_ARTIFACTS[algorithm]}
-    assert hashes == CLI_ARTIFACTS[algorithm]
+    assert hashes == CLI_ARTIFACTS[algorithm], _kernel()
 
 
 def test_compare_of_zero_config_networks(pipelines, tmp_path, monkeypatch):
@@ -112,12 +124,12 @@ def test_compare_of_zero_config_networks(pipelines, tmp_path, monkeypatch):
     for name, net in zip(sorted(CLI_ARTIFACTS), nets):
         shutil.copyfile(pipelines[name] / "controller.net", net)
     assert main(_config(tmp_path) + ["compare"] + nets) == 0
-    assert sha256((tmp_path / "out" / "comparison.csv").read_bytes()) == COMPARISON
+    assert sha256((tmp_path / "out" / "comparison.csv").read_bytes()) == COMPARISON, _kernel()
 
 
 def test_oracle_control_indices(tmp_path):
     assert main(_config(tmp_path) + ["control", "--oracle"]) == 0
-    assert sha256((tmp_path / "out" / "indices.csv").read_bytes()) == ORACLE_INDICES
+    assert sha256((tmp_path / "out" / "indices.csv").read_bytes()) == ORACLE_INDICES, _kernel()
 
 
 def test_criterion_6_training_seed_0():
@@ -133,4 +145,4 @@ def test_criterion_6_training_seed_0():
             sha256(trained.weights.tobytes()),
             sha256((records + report.stop_reason.value).encode()),
         )
-        assert got == CRITERION_6[name], name
+        assert got == CRITERION_6[name], f"{name}: {_kernel()}"

@@ -1,6 +1,4 @@
 import contextlib
-import ctypes
-import glob
 import os
 import platform
 import subprocess
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import openblas
 from servoneuro import mlp, training
 from servoneuro.control import NeuralController
 from servoneuro.plant import MotorParams, static_map
@@ -252,29 +251,13 @@ def test_driver_pattern_layout_keeps_every_bit(net, n_patterns, seed, log_scale)
         assert _bits(mlp.error_jacobian(net, got)) == _bits(mlp.error_jacobian(net, expected))
 
 
-def _openblas():
-    """The OpenBLAS bundled in numpy's wheel, or None for any other BLAS."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    lib = ctypes.CDLL(libs[0]) if libs else None
-    if lib is None or not hasattr(lib, "scipy_openblas_get_corename64_"):
-        return None
-    lib.scipy_openblas_get_corename64_.argtypes = []
-    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-    lib.scipy_openblas_get_num_threads64_.argtypes = []
-    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-    lib.scipy_openblas_set_num_threads64_.restype = None
-    return lib
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Past a size threshold (about 460k entries for OpenBLAS 0.3.31 on two
     cores) OpenBLAS splits a gemv's rows across its threads, and a row that
     lands in a thread's tail rounds differently, so a threaded J.T @ e
     depends on the thread count."""
-    lib = _openblas()
+    lib = openblas()
     if lib is None:
         yield
         return
@@ -321,11 +304,11 @@ def test_blocked_jte_matches_pattern_major_bit_for_bit(n_weights, n_patterns, se
 _ON_KERNEL = """
 import sys
 sys.path[:0] = sys.argv[1:3]
-import test_properties
-lib = test_properties._openblas()
-if lib is None:
+import conftest, test_properties
+core = conftest.blas_core()
+if core is None:
     sys.exit(5)
-print(lib.scipy_openblas_get_corename64_().decode(), flush=True)
+print(core, flush=True)
 test_properties.test_blocked_jte_matches_pattern_major_bit_for_bit()
 """
 
