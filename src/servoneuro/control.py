@@ -20,9 +20,17 @@ from .scaling import AffineScaling
 U_MIN = 2.5
 U_MAX = 6.5
 
-# Width of the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] an inverse
-# controller maps to u(k).
-REGRESSOR_WIDTH = 5
+# An inverse controller maps the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)]
+# to u(k): the reference, then LAGS outputs and LAGS inputs, newest first.
+LAGS = 2
+REGRESSOR_WIDTH = 1 + 2 * LAGS
+
+
+def lag_windows(hist):
+    """The regressor's lags in a history of (y, u) samples, samples first and
+    (y, u) last: entry j of this view holds, as (..., (y, u), lag), the lags
+    read from rows j ... j + LAGS - 1, newest first."""
+    return np.lib.stride_tricks.sliding_window_view(hist, LAGS, axis=0)[..., ::-1]
 
 
 def check_controller_shape(layer_sizes):
@@ -109,19 +117,15 @@ class NeuralController:
 
     def __post_init__(self):
         check_controller_shape(self.net.layer_sizes)
-        # input_scaling.apply and target_scaling.invert as Python floats: the
-        # same IEEE operations, so the same bits, without small-array calls
-        object.__setattr__(self, "_in_offset", tuple(self.input_scaling.offset.tolist()))
-        object.__setattr__(self, "_in_gain", tuple(self.input_scaling.gain.tolist()))
+        # target_scaling.invert as Python floats: the same bits, without small-array calls
         object.__setattr__(self, "_out_gain", float(self.target_scaling.gain[0]))
         object.__setattr__(self, "_out_offset", float(self.target_scaling.offset[0]))
 
     def __call__(self, regressor) -> float:
-        r, y, y1, u1, u2 = regressor
-        o0, o1, o2, o3, o4 = self._in_offset
-        g0, g1, g2, g3, g4 = self._in_gain
-        scaled = np.array([(r - o0) * g0, (y - o1) * g1, (y1 - o2) * g2,
-                           (u1 - o3) * g3, (u2 - o4) * g4])
+        # input_scaling.apply in place, so a regressor of the wrong width raises a ValueError
+        scaled = np.array(regressor, dtype=float)
+        scaled -= self.input_scaling.offset
+        scaled *= self.input_scaling.gain
         out = forward(self.net, scaled)
         return out / self._out_gain + self._out_offset
 
@@ -147,9 +151,9 @@ def run_closed_loop(
     """Feed the controller's (clamped) output to the plant sample by sample.
 
     The controller gets the regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)] as
-    a sequence of five floats in raw volts and returns u(k), its lags read
-    from the loop's history of (y, u).  The history starts at rest: two
-    samples of y = 0 V and u = the actuator floor U_MIN, which the trace
+    a sequence of REGRESSOR_WIDTH floats in raw volts and returns u(k), its
+    lags read from the loop's history of (y, u).  The history starts at rest:
+    LAGS samples of y = 0 V and u = the actuator floor U_MIN, which the trace
     leaves out.  y(k) in the trace is the measured response to u(k).  The
     loop advances the plant as `plant.step` does, with its noise drawn in one
     call: the same numbers, bit for bit, as one `step` per sample from
@@ -158,13 +162,13 @@ def run_closed_loop(
     r = profile.series()
     noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
     y_state = 0.0
-    ys = [0.0, 0.0]  # the rest state, then each sample's y(k)
-    us = [U_MIN, U_MIN]
+    ys = [0.0] * LAGS  # the rest state, then each sample's y(k)
+    us = [U_MIN] * LAGS
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
         for k, r_k in enumerate(r.tolist()):
-            u = float(controller((r_k, ys[-1], ys[-2], us[-1], us[-2])))
+            u = float(controller((r_k, *ys[:-LAGS - 1:-1], *us[:-LAGS - 1:-1])))
             if not math.isfinite(u):
-                partial = ClosedLoopTrace(r[:k], ys[2:], us[2:])
+                partial = ClosedLoopTrace(r[:k], ys[LAGS:], us[LAGS:])
                 raise ControllerDivergedError(
                     f"controller output not finite at sample {k}", partial
                 )
@@ -172,7 +176,7 @@ def run_closed_loop(
             y_state = advance(params, y_state, u)
             ys.append(y_state + noise[k])
             us.append(u)
-    return ClosedLoopTrace(r, ys[2:], us[2:])
+    return ClosedLoopTrace(r, ys[LAGS:], us[LAGS:])
 
 
 def compute_indices(trace: ClosedLoopTrace) -> PerformanceIndices:
@@ -211,45 +215,44 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
     controllers = [c for c, _ in jobs]
     r = profile.series()
     n, G = r.size, len(jobs)
-    in_offset = np.array([c._in_offset for c in controllers])
-    in_gain = np.array([c._in_gain for c in controllers])
+    in_offset = np.array([c.input_scaling.offset for c in controllers])
+    in_gain = np.array([c.input_scaling.gain for c in controllers])
     out_gain = np.array([c._out_gain for c in controllers])
     out_offset = np.array([c._out_offset for c in controllers])
     layers = stack_layers([c.net for c in controllers])
     decay, drive = params.decay, params.drive
     span = params.saturation - params.dead_zone
-    # hist[k + 2] holds each loop's (y(k), u(k)) and rows 0-1 the rest state;
-    # y(k) starts as the loop's noise draw and gets the plant output added
-    hist = np.empty((n + 2, 2, G))
-    hist[:2, 0] = 0.0
-    hist[:2, 1] = U_MIN
+    # hist[k + LAGS] holds each loop's (y(k), u(k)) and rows 0 ... LAGS - 1 the rest
+    # state; y(k) starts as the loop's noise draw and gets the plant output added
+    hist = np.empty((n + LAGS, G, 2))
+    hist[:LAGS] = 0.0, U_MIN
     for g, (_, seed) in enumerate(jobs):
-        hist[2:, 0, g] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
-    # reg holds each loop's regressor [r(k), y(k), y(k-1), u(k-1), u(k-2)],
-    # whose lags, as (G, signal, lag), are read from hist's two newest rows
+        hist[LAGS:, g, 0] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
+    windows = lag_windows(hist)
+    # reg holds each loop's regressor, whose lags are (G, (y, u), lag)
     reg = np.empty((G, REGRESSOR_WIDTH))
-    lags = reg[:, 1:].reshape(G, 2, 2)
+    lags = reg[:, 1:].reshape(G, 2, LAGS)
     y = np.zeros(G)  # noise-free plant output
     ones = np.ones(G)
     stop = np.full(G, n)  # first sample with a non-finite output
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging loop warns nothing
         for k, r_k in enumerate(r.tolist()):
             reg[:, 0] = r_k
-            lags[...] = hist[k : k + 2][::-1].transpose(2, 1, 0)
+            lags[...] = windows[k]
             u = forward_stacked(layers, (reg - in_offset) * in_gain)[:, 0] / out_gain + out_offset
             if not math.isfinite(u.dot(ones)):  # a sum, not finite if any u is not
                 stop[~np.isfinite(u) & (stop == n)] = k
                 if (stop < n).all():
                     break
-            row = hist[k + 2]
-            u = np.minimum(np.maximum(u, U_MIN), U_MAX, out=row[1])
+            row = hist[k + LAGS]
+            u = np.minimum(np.maximum(u, U_MIN), U_MAX, out=row[:, 1])
             # static_map: rounding is monotonic, so this picks its value bit for bit
             s = np.minimum(np.maximum(u - params.dead_zone, 0.0), span)
             y = decay * y + drive * s
-            row[0] += y  # noise + y: the bits of y + noise
+            row[:, 0] += y  # noise + y: the bits of y + noise
     loops = []
     for g, m in enumerate(stop.tolist()):
-        trace = ClosedLoopTrace(r[:m], hist[2 : m + 2, 0, g], hist[2 : m + 2, 1, g])
+        trace = ClosedLoopTrace(r[:m], hist[LAGS : m + LAGS, g, 0], hist[LAGS : m + LAGS, g, 1])
         if m < n:
             trace = ControllerDivergedError(f"controller output not finite at sample {m}", trace)
         loops.append(trace)

@@ -9,12 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import LAGS, lag_windows
 from .plant import MAX_SIZE, MotorParams, make_state, step
 from .training import Dataset
 
 # The shortest log that forms one lagged training pattern (see
 # build_inverse_dataset).
-MIN_LOG_SAMPLES = 4
+MIN_LOG_SAMPLES = LAGS + 2
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,15 @@ def run_step_experiment(params: MotorParams, cfg: StepExperimentConfig) -> IoLog
 
 
 def build_inverse_dataset(log: IoLog) -> Dataset:
-    """One pattern per sample with two lags on both sides:
-    input [y(k+1), y(k), y(k-1), u(k-1), u(k-2)] -> target u(k).
+    """One pattern per sample with the controller's lags (control.LAGS) on
+    both sides: input [y(k+1), y(k), y(k-1), u(k-1), u(k-2)] -> target u(k).
 
     Offline training fills the reference slot with the realized next
     output.  Early samples without full lag history are dropped.
     """
-    L = len(log)
-    u, y = log.u, log.y
-    k = np.arange(2, L - 1)
-    inputs = np.column_stack([y[k + 1], y[k], y[k - 1], u[k - 1], u[k - 2]])
-    targets = u[k][:, None]
-    return Dataset.from_raw(inputs, targets)
+    y, u = log.y[1:], log.u[:-1]  # y read one sample ahead of u
+    lags = lag_windows(np.column_stack([y, u]))[:-1].reshape(-1, 2 * LAGS)
+    return Dataset.from_raw(np.column_stack([y[LAGS:], lags]), u[LAGS:, None])
 
 
 # The columns of an I/O log file, in the order `save_iolog` writes them.

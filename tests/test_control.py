@@ -259,6 +259,15 @@ def _neural(architecture, seed, scale=0.5):
                             AffineScaling([4.5], [1.0]))
 
 
+class TestNeuralController:
+    @pytest.mark.parametrize("regressor", [[1.0], [1.0] * 4, [1.0] * 6, 1.0],
+                             ids=["1", "4", "6", "float"])
+    def test_regressor_of_the_wrong_width_is_rejected(self, regressor):
+        # scaling by broadcasting would stretch one entry to all five
+        with pytest.raises(ValueError):
+            _neural(_ARCHITECTURES[0], 0)(regressor)
+
+
 def _trace_or_divergence(params, controller, profile, seed):
     try:
         return run_closed_loop(params, controller, profile, seed)

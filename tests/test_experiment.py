@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from servoneuro.control import ReferenceProfile, analytic_inverse_controller, run_closed_loop
 from servoneuro.experiment import (
     IoLog,
     StepExperimentConfig,
@@ -59,6 +60,24 @@ class TestBuildInverseDataset:
         assert ds.n_patterns == 3
         assert np.array_equal(ds.inputs[0], [40.0, 30.0, 20.0, 2.0, 1.0])
         assert ds.targets[0, 0] == 3.0
+
+    def test_patterns_read_y_one_sample_ahead_of_the_closed_loop(self):
+        # the pattern for target u[k] holds y one sample ahead of the
+        # regressor the closed loop gives u(k), and the u lags level with it
+        params = MotorParams(noise_sigma=0.02)
+        oracle, regressors = analytic_inverse_controller(params), []
+
+        def recording(regressor):
+            regressors.append(regressor)
+            return oracle(regressor)
+
+        profile = ReferenceProfile(((1.0, 20), (3.0, 20)))
+        trace = run_closed_loop(params, recording, profile, seed=0)
+        ds = build_inverse_dataset(IoLog(trace.u, trace.y))
+        ks = np.arange(2, len(trace) - 1)
+        expected = [[trace.y[k + 1], *regressors[k + 1][1:3], *regressors[k][3:5]] for k in ks]
+        assert np.array_equal(ds.inputs, expected)
+        assert np.array_equal(ds.targets[:, 0], trace.u[ks])
 
     def test_constant_settled_log_targets_constant(self, quiet):
         u = np.full(50, 4.5)
