@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import statistics
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -331,7 +332,9 @@ class ComparisonReport:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["controller", "seed", "mean_abs_error", "control_effort", "error"])
-            writer.writerows(astuple(row) for row in self.rows)
+            # shallow rows: dataclasses.astuple would deep-copy every row
+            row = operator.attrgetter(*(f.name for f in fields(ComparisonRow)))
+            writer.writerows(map(row, self.rows))
 
     def format_table(self) -> str:
         lines = [f"{'rank':<5} {'controller':<30} {'median |r-y|':>14} {'median |u|':>12}"]

@@ -284,9 +284,14 @@ def error_jacobian(net: MlpNetwork, activations, out=None) -> np.ndarray:
                 # transposed operands rounds differently
                 deltaT = (np.ascontiguousarray(deltaT.T) @ WT.T).T
             if views[layer - 1][3]:
-                # times the tanh slope, in place on the new 1 - a'^2
-                slope = 1.0 - aT ** 2
-                deltaT = np.multiply(deltaT, slope, out=slope)
+                # times the tanh slope 1 - a'^2, formed in place in aT, which
+                # is not read again; where aT is a view of `activations` (a
+                # one-unit layer, or P = 1) it is copied first
+                if np.may_share_memory(aT, activations[layer]):
+                    aT = aT.copy()
+                np.square(aT, out=aT)
+                np.subtract(1.0, aT, out=aT)
+                deltaT = np.multiply(deltaT, aT, out=aT)
             else:
                 # the layers below read delta as (fi, P), never as a column
                 deltaT = np.broadcast_to(deltaT, (fi, P))

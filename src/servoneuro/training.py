@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -154,7 +155,9 @@ class TrainReport:
             writer.writerow(
                 ["epoch", "E_D", "E_W", "E_R", "lambda", "alpha", "beta", "gamma", "val_ED"]
             )
-            writer.writerows(dataclasses.astuple(r) for r in self.records)
+            # shallow rows: dataclasses.astuple would deep-copy every record
+            row = operator.attrgetter(*(f.name for f in dataclasses.fields(EpochRecord)))
+            writer.writerows(map(row, self.records))
 
 
 # --- error functionals -----------------------------------------------------
@@ -288,6 +291,9 @@ def _gauss_newton(net, data: Dataset, lm: LmConfig, norm, alpha=1.0, beta=0.0,
         error_jacobian(net, acts, out=JT)
         _jte(jte_blocks, e)
         JtJ = JT @ JT.T
+        # nothing reads the accepted network's activations and residuals
+        # again: dropping them keeps one activation set live in the epoch
+        acts = e = evaluated = None
         system = None
         while True:
             try:
@@ -304,6 +310,7 @@ def _gauss_newton(net, data: Dataset, lm: LmConfig, norm, alpha=1.0, beta=0.0,
                     break
             except np.linalg.LinAlgError:  # a rejected trial
                 pass
+            evaluated = None  # freed before the next trial's forward pass
             lam *= lm.lambda_increase
             if lam > lm.lambda_max:
                 return net, TrainReport(records, StopReason.LAMBDA_OVERFLOW)

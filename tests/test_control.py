@@ -328,7 +328,7 @@ class TestRunClosedLoops:
         _assert_same_loops(run_closed_loops(params, profile, jobs, _keep), expected)
 
     def test_lockstep_keeps_one_history_of_y_and_u(self, quiet):
-        # each loop's y and u are stored once, in an (n + 2, 2, G) history, so
+        # each loop's y and u are stored once, in an (n + LAGS, G, 2) history, so
         # the run peaks at about 2.2x n * G doubles; separate noise, y and u
         # buffers took it to 3.2x
         profile, G = ctl.DEFAULT_PROFILE, 30

@@ -150,6 +150,19 @@ class TestErrorJacobian:
             with pytest.raises(ValueError, match="out must be"):
                 mlp.error_jacobian(net, acts, out=bad)
 
+    @pytest.mark.parametrize("sizes,P", [([5, 1, 1], 30), ([3, 4, 1, 1], 20), ([5, 10, 1], 1),
+                                         ([5, 10, 1], 200)])
+    def test_never_writes_its_activations(self, sizes, P):
+        # the tanh slope is formed in place in a transposed copy of each
+        # layer's activations; for a one-unit layer, or one pattern, that
+        # transpose is a view of the caller's array, which must stay as it was
+        activations = ["tanh"] * (len(sizes) - 2) + ["linear"]
+        net = mlp.init_weights(sizes, activations, seed=3, scale=0.7)
+        acts = mlp.forward_layers(net, np.random.default_rng(5).normal(size=(P, sizes[0])))
+        before = [a.tobytes() for a in acts]
+        mlp.error_jacobian(net, acts)
+        assert [a.tobytes() for a in acts] == before
+
     def test_two_hidden_layers(self):
         rng = np.random.default_rng(9)
         net = mlp.init_weights([3, 6, 4, 1], ["tanh", "tanh", "linear"], seed=9, scale=0.6)

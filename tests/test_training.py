@@ -6,7 +6,9 @@ import pytest
 
 from servoneuro import mlp
 from servoneuro import training as tr
+from servoneuro.experiment import StepExperimentConfig, build_inverse_dataset, run_step_experiment
 from servoneuro.mlp import ActivationKind, MlpNetwork
+from servoneuro.plant import MotorParams
 from servoneuro.scaling import AffineScaling
 from servoneuro.training import (
     BrConfig,
@@ -117,6 +119,27 @@ class TestErrorFunctionals:
         finally:
             tracemalloc.stop()
         assert peak < 2.4 * P * net.n_weights * 8
+
+    @pytest.mark.parametrize("train,cfg", [(train_lm, LmConfig(max_epochs=5)),
+                                           (train_br, BrConfig(lm=LmConfig(max_epochs=5)))])
+    def test_an_epoch_holds_one_activation_set(self, train, cfg):
+        # J' (N), the J'e scratch (w), the patterns (6), one activation set
+        # with its residual (h + 2), one h x P transposed copy for the tanh
+        # slope (h) and the N x N systems: 120 doubles a pattern at h = 10.
+        # The accepted network's activations kept through the lambda trials,
+        # and the slope formed in two new arrays, took it to 138.
+        ds = build_inverse_dataset(run_step_experiment(MotorParams(), StepExperimentConfig()))
+        net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=0, scale=0.5)
+        P, N, h = ds.n_patterns, net.n_weights, net.layer_sizes[1]
+        _, blocks = tr._jte_buffers(np.empty((N, 1)))
+        w = max(scratch.shape[1] for _, scratch, _ in blocks)
+        tracemalloc.start()
+        try:
+            train(net, ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * P * (N + w + 3 * h + 8)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1e-12), (1e-12, 1.0), (2.0, 3.0)])
     def test_er_of_one_br_epoch(self, alpha, beta):
