@@ -137,7 +137,8 @@ def _build_trainer(mapping, section):
     _check_mapping(mapping, section)
     algorithm = mapping.get("algorithm", "lm")
     if not isinstance(algorithm, str) or algorithm not in _ALGORITHMS:
-        raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use lm, br, early_stop)")
+        names = ", ".join(_ALGORITHMS)
+        raise ConfigError(f"unknown trainer algorithm '{algorithm}' (use {names})")
     cls = _ALGORITHMS[algorithm]
     lm_keys = [f.name for f in dataclasses.fields(tr.LmConfig)]
     own_keys = [f.name for f in dataclasses.fields(cls) if f.name not in (*lm_keys, "lm")]

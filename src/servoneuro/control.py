@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 import statistics
 from dataclasses import dataclass, fields
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mlp import MlpNetwork, forward, forward_stacked, stack_layers
-from .plant import MAX_SIZE, MotorParams, advance
+from .plant import MAX_SIZE, MotorParams, advance, noise
 from .scaling import AffineScaling
 
 # Valid actuation band; controller outputs are clamped here before application.
@@ -51,6 +52,11 @@ class ReferenceProfile:
     steps: tuple
 
     def __post_init__(self):
+        for i, (level, dur) in enumerate(self.steps):
+            if isinstance(level, bool) or not isinstance(level, numbers.Real):
+                raise ValueError(f"step {i} level must be a real number, got {level!r}")
+            if isinstance(dur, bool) or not isinstance(dur, numbers.Integral):
+                raise ValueError(f"step {i} duration must be an integer, got {dur!r}")
         steps = tuple((float(level), int(dur)) for level, dur in self.steps)
         if not steps:
             raise ValueError("reference profile must be nonempty")
@@ -63,9 +69,8 @@ class ReferenceProfile:
         object.__setattr__(self, "steps", steps)
 
     def series(self) -> np.ndarray:
-        return np.repeat(
-            [level for level, _ in self.steps], [dur for _, dur in self.steps]
-        ).astype(float)
+        levels, durations = zip(*self.steps)
+        return np.repeat(levels, durations)
 
     def __len__(self):
         return sum(dur for _, dur in self.steps)
@@ -155,13 +160,11 @@ def run_closed_loop(
     a sequence of REGRESSOR_WIDTH floats in raw volts and returns u(k), its
     lags read from the loop's history of (y, u).  The history starts at rest:
     LAGS samples of y = 0 V and u = the actuator floor U_MIN, which the trace
-    leaves out.  y(k) in the trace is the measured response to u(k).  The
-    loop advances the plant as `plant.step` does, with its noise drawn in one
-    call: the same numbers, bit for bit, as one `step` per sample from
-    `make_state(seed)`.
+    leaves out.  y(k) in the trace is the measured response to u(k), its noise
+    drawn by `plant.noise`.
     """
     r = profile.series()
-    noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma, r.size).tolist()
+    draws = noise(params, seed, r.size).tolist()
     y_state = 0.0
     ys = [0.0] * LAGS  # the rest state, then each sample's y(k)
     us = [U_MIN] * LAGS
@@ -175,7 +178,7 @@ def run_closed_loop(
                 )
             u = min(max(u, U_MIN), U_MAX)
             y_state = advance(params, y_state, u)
-            ys.append(y_state + noise[k])
+            ys.append(y_state + draws[k])
             us.append(u)
     return ClosedLoopTrace(r, ys[LAGS:], us[LAGS:])
 
@@ -221,14 +224,12 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
     out_gain = np.array([c._out_gain for c in controllers])
     out_offset = np.array([c._out_offset for c in controllers])
     layers = stack_layers([c.net for c in controllers])
-    decay, drive = params.decay, params.drive
-    span = params.saturation - params.dead_zone
     # hist[k + LAGS] holds each loop's (y(k), u(k)) and rows 0 ... LAGS - 1 the rest
     # state; y(k) starts as the loop's noise draw and gets the plant output added
     hist = np.empty((n + LAGS, G, 2))
     hist[:LAGS] = 0.0, U_MIN
     for g, (_, seed) in enumerate(jobs):
-        hist[LAGS:, g, 0] = np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
+        hist[LAGS:, g, 0] = noise(params, seed, n)
     windows = lag_windows(hist)
     # reg holds each loop's regressor, whose lags are (G, (y, u), lag)
     reg = np.empty((G, REGRESSOR_WIDTH))
@@ -247,9 +248,7 @@ def _run_lockstep(params: MotorParams, profile: ReferenceProfile, jobs) -> list:
                     break
             row = hist[k + LAGS]
             u = np.minimum(np.maximum(u, U_MIN), U_MAX, out=row[:, 1])
-            # static_map: rounding is monotonic, so this picks its value bit for bit
-            s = np.minimum(np.maximum(u - params.dead_zone, 0.0), span)
-            y = decay * y + drive * s
+            y = advance(params, y, u)
             row[:, 0] += y  # noise + y: the bits of y + noise
     loops = []
     for g, m in enumerate(stop.tolist()):

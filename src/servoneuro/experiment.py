@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import LAGS, lag_windows
+from .control import LAGS, U_MAX, U_MIN, lag_windows
 from .plant import MAX_SIZE, MotorParams, make_state, step
 from .training import Dataset
 
@@ -21,8 +21,8 @@ MIN_LOG_SAMPLES = LAGS + 2
 @dataclass(frozen=True)
 class StepExperimentConfig:
     num_steps: int = 40
-    amplitude_min: float = 2.5
-    amplitude_max: float = 6.5
+    amplitude_min: float = U_MIN
+    amplitude_max: float = U_MAX
     dwell_samples: int = 100
     seed: int = 0
 

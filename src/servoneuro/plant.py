@@ -71,7 +71,11 @@ def make_state(seed: int) -> PlantState:
 
 
 def static_map(params: MotorParams, u: float) -> float:
-    """Effective drive after the dead zone and saturation (unidirectional)."""
+    """Effective drive after the dead zone and saturation (unidirectional);
+    elementwise on an array of lockstep loops' inputs, with the same bits."""
+    if isinstance(u, np.ndarray):  # rounding is monotonic, so the clip picks each value
+        dead_zone = params.dead_zone
+        return np.minimum(np.maximum(u - dead_zone, 0.0), params.saturation - dead_zone)
     if u <= params.dead_zone:
         return 0.0
     if u >= params.saturation:
@@ -87,6 +91,11 @@ def steady_state(params: MotorParams, u: float) -> float:
 def advance(params: MotorParams, y: float, u: float) -> float:
     """Noise-free internal output a*y + drive*s(u) one sample after y."""
     return params.decay * y + params.drive * static_map(params, u)
+
+
+def noise(params: MotorParams, seed: int, n: int) -> np.ndarray:
+    """A loop's n tach-noise draws: the numbers n `step`s from `make_state(seed)` add."""
+    return np.random.default_rng(seed).normal(0.0, params.noise_sigma, n)
 
 
 def step(state: PlantState, params: MotorParams, u: float):

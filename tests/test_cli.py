@@ -91,6 +91,12 @@ class TestConfigLoading:
         path = write_config(tmp_path, "trainer:\n  algorithm: lm\n  patience: 3\n")
         assert run(["--config", path, "collect"]) == EXIT_CONFIG
 
+    def test_unknown_algorithm_names_every_algorithm(self, tmp_path, capsys):
+        path = write_config(tmp_path, "trainer: {algorithm: sgd}\n")
+        assert run(["--config", path, "collect"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown trainer algorithm 'sgd' (use lm, br, early_stop)" in err
+
 
     @pytest.mark.parametrize(
         "config_text,extra_args,field",

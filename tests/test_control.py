@@ -1,3 +1,4 @@
+import ast
 import csv
 import tracemalloc
 import warnings
@@ -54,6 +55,21 @@ class TestReferenceProfile:
         with pytest.raises(ValueError):
             ReferenceProfile(())
 
+    def test_library_callers_get_the_step_checks(self):
+        for steps, field in [(((1.0, 2.5),), "step 0 duration"),
+                             (((1.0, 3), (1.0, True)), "step 1 duration"),
+                             (((1.0, 3), (2.0, "3")), "step 1 duration"),
+                             ((("1.5", 3),), "step 0 level"),
+                             (((True, 3),), "step 0 level")]:
+            with pytest.raises(ValueError, match=field):
+                ReferenceProfile(steps)
+
+    def test_numpy_and_int_entries_are_accepted(self):
+        prof = ReferenceProfile(((np.float64(1.5), np.int64(2)), (2, 1)))
+        assert prof.steps == ((1.5, 2), (2.0, 1))
+        assert type(prof.steps[0][1]) is int
+        assert prof.series().tobytes() == np.array([1.5, 1.5, 2.0]).tobytes()
+
 
 class TestRunClosedLoop:
     def test_oracle_tracks_constant_reference_exactly(self, quiet):
@@ -97,6 +113,34 @@ class TestRunClosedLoop:
         with pytest.raises(ControllerDivergedError) as err:
             run_closed_loop(quiet, broken, PROFILE, seed=0)
         assert len(err.value.trace) == 10
+
+
+def plant_fields_read(source, function):
+    """The attributes of `params` that `function`, a def in `source`, reads."""
+    node = next(n for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return sorted({n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "params"})
+
+
+def test_finds_a_plant_field_read():
+    source = (
+        "def f(params, other):\n"
+        "    def g():\n"
+        "        return params.decay\n"
+        "    return other.gain, params.dead_zone, g\n"
+        "def h(params):\n"
+        "    return params.ts\n"
+    )
+    assert plant_fields_read(source, "f") == ["dead_zone", "decay"]
+
+
+# The plant's sample rule lives in `plant` alone: the closed-loop engines step
+# and draw the plant through its functions and read none of its fields.
+@pytest.mark.parametrize("function", ["run_closed_loop", "_run_lockstep"])
+def test_closed_loop_engines_read_no_plant_field(function):
+    with open(ctl.__file__, encoding="utf-8") as fh:
+        assert plant_fields_read(fh.read(), function) == []
 
 
 def _reference_loop(params, controller, profile, seed):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from servoneuro.plant import MotorParams, make_state, static_map, steady_state, step
+from servoneuro.plant import (
+    MotorParams, advance, make_state, noise, static_map, steady_state, step,
+)
 
 
 class TestStaticMap:
@@ -24,6 +28,52 @@ class TestStaticMap:
         us = np.linspace(-2.0, 9.0, 400)
         vals = [static_map(quiet, u) for u in us]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@st.composite
+def _motor_params(draw):
+    """A valid plant of any dead zone, saturation, gain and time constants."""
+    dead_zone = draw(st.floats(0.0, 10.0))
+    tau = draw(st.floats(0.01, 10.0))
+    return MotorParams(gain=draw(st.floats(1e-3, 1e3)), tau=tau,
+                       ts=draw(st.floats(tau / 1000, tau, exclude_max=True)),
+                       dead_zone=dead_zone,
+                       saturation=draw(st.floats(dead_zone, 20.0, exclude_min=True)))
+
+
+# The lockstep engine steps its loops' array through the float rule's own
+# function: on an array, static_map and advance give each element the bits
+# of the float form, at every edge of the map as well.
+@given(params=_motor_params(), us=st.lists(st.floats(-10.0, 20.0), max_size=20),
+       y=st.floats(-10.0, 10.0))
+@example(params=MotorParams(dead_zone=0.0), us=[-0.0, 0.0, -5e-324, 5e-324], y=0.0)
+@example(params=MotorParams(), us=[-0.0, 0.0, 2.5, 6.5], y=-0.0)
+@example(params=MotorParams(dead_zone=1e308, saturation=1.5e308), us=[-1e308, 1.2e308], y=1.0)
+def test_array_forms_match_the_float_forms_bit_for_bit(params, us, y):
+    edges = [params.dead_zone, params.saturation]
+    u = np.array([*us, *edges, *np.nextafter(edges, -np.inf), *np.nextafter(edges, np.inf),
+                  -np.inf, np.inf, -1e308, 1e308])
+    with np.errstate(over="ignore"):  # as a float overflows, without a warning
+        mapped, advanced = static_map(params, u), advance(params, np.full(u.size, y), u)
+    floats = u.tolist()
+    assert mapped.tobytes() == np.array([static_map(params, x) for x in floats]).tobytes()
+    assert advanced.tobytes() == np.array([advance(params, y, x) for x in floats]).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02, 0.1])
+def test_noise_and_advance_give_the_bytes_of_step(sigma):
+    params = MotorParams(noise_sigma=sigma)
+    us = np.random.default_rng(7).uniform(-1.0, 9.0, 50).tolist()
+    for seed in range(20):
+        state, stepped = make_state(seed), []
+        for u in us:
+            state, measured = step(state, params, u)
+            stepped.append(measured)
+        y, drawn = 0.0, []
+        for u, draw in zip(us, noise(params, seed, len(us)).tolist()):
+            y = advance(params, y, u)
+            drawn.append(y + draw)
+        assert np.array(drawn).tobytes() == np.array(stepped).tobytes()
 
 
 class TestStep:
