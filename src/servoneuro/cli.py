@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from . import control as ctl
 from . import experiment as exp
 from . import mlp
 from . import training as tr
-from .plant import MAX_SIZE, MotorParams
+from .plant import MAX_SIZE, MotorParams, check_fields, check_value
 from .svg import write_line_chart
 
 EXIT_OK = 0
@@ -38,14 +37,13 @@ class NetworkSpec:
     init_scale: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         sizes, _ = mlp.check_architecture(self.layer_sizes, self.activations)
         if max(sizes) > MAX_SIZE:
             raise ValueError(f"layer_sizes must be at most {MAX_SIZE}, got {sizes}")
         ctl.check_controller_shape(sizes)
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be nonnegative")
-        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
-            raise ValueError(f"init_scale must be finite and nonnegative, got {self.init_scale!r}")
+        if self.init_scale < 0:
+            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,10 @@ class EvaluationSpec:
     seeds: tuple = tuple(range(10))
 
     def __post_init__(self):
-        if not self.seeds or not all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds):
+        check_fields(self)
+        for seed in self.seeds:
+            check_value(seed, "int", "seeds")
+        if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonempty nonnegative integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"evaluation.seeds must not repeat a seed, got {self.seeds!r}")
@@ -70,6 +70,9 @@ class WorkbenchConfig:
     evaluation: EvaluationSpec = field(default_factory=EvaluationSpec)
     output_dir: str = "out"
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 # --- config parsing --------------------------------------------------------
 
@@ -79,9 +82,6 @@ class WorkbenchConfig:
 _ALGORITHMS = {"lm": tr.LmConfig, "br": tr.BrConfig, "early_stop": tr.EarlyStopConfig}
 _TRAINERS = {tr.LmConfig: "train_lm", tr.BrConfig: "train_br",
              tr.EarlyStopConfig: "train_early_stopping"}
-
-# Accepted Python types per declared field type; a bool is never a number.
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list, tuple)}
 
 
 def _check_mapping(value, name):
@@ -95,24 +95,16 @@ def _check_keys(mapping, allowed, section):
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(unknown)}")
 
 
-def _check_type(value, kind, name):
-    """Raise a ConfigError naming `name` unless `value` has the declared
-    field type `kind` (int, float, str or tuple; other kinds are not checked)."""
-    accepted = _FIELD_TYPES.get(kind)
-    if accepted is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
-        raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
-
-
 def _build_dataclass(cls, value, section=None):
     """Build `cls` from a mapping of its fields: a field whose default is a
-    dataclass from its own value, any other checked against its declared type,
-    then the class's own checks.  A field in _BUILDERS has its own YAML shape.
-    `section` names the value in messages; the whole config's keys are bare."""
+    dataclass from its own value, any other as given; the class checks them.
+    A field in _BUILDERS has its own YAML shape.  `section` names the value in
+    messages; the whole config's keys are bare."""
     label = section or "config"
     _check_mapping(value, label)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     _check_keys(value, fields, label)
-    kwargs = {}
+    kwargs = dict(value)
     for name, item in value.items():
         where = f"{section}.{name}" if section else name
         f = fields[name]
@@ -121,10 +113,6 @@ def _build_dataclass(cls, value, section=None):
             kwargs[name] = _BUILDERS[where](item, where)
         elif dataclasses.is_dataclass(default):
             kwargs[name] = _build_dataclass(type(default), item, where)
-        else:
-            kind = getattr(f.type, "__name__", f.type)
-            _check_type(item, kind, where)
-            kwargs[name] = tuple(item) if kind == "tuple" else item
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
@@ -161,8 +149,11 @@ def _build_profile(entries, section):
         _check_keys(entry, ("level", "duration"), where)
         if "level" not in entry or "duration" not in entry:
             raise ConfigError(f"{where} needs numeric 'level' and 'duration'")
-        _check_type(entry["level"], "float", f"{where}.level")
-        _check_type(entry["duration"], "int", f"{where}.duration")
+        try:
+            check_value(entry["level"], "float", f"{where}.level")
+            check_value(entry["duration"], "int", f"{where}.duration")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         steps.append((entry["level"], entry["duration"]))
     try:
         return ctl.ReferenceProfile(tuple(steps))

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 import statistics
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mlp import MlpNetwork, forward, forward_stacked, stack_layers
-from .plant import MAX_SIZE, MotorParams, advance, noise
+from .plant import MAX_SIZE, MotorParams, advance, check_fields, check_value, noise
 from .scaling import AffineScaling
 
 # Valid actuation band; controller outputs are clamped here before application.
@@ -52,11 +51,10 @@ class ReferenceProfile:
     steps: tuple
 
     def __post_init__(self):
+        check_fields(self)
         for i, (level, dur) in enumerate(self.steps):
-            if isinstance(level, bool) or not isinstance(level, numbers.Real):
-                raise ValueError(f"step {i} level must be a real number, got {level!r}")
-            if isinstance(dur, bool) or not isinstance(dur, numbers.Integral):
-                raise ValueError(f"step {i} duration must be an integer, got {dur!r}")
+            check_value(level, "float", f"step {i} level")
+            check_value(dur, "int", f"step {i} duration")
         steps = tuple((float(level), int(dur)) for level, dur in self.steps)
         if not steps:
             raise ValueError("reference profile must be nonempty")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import LAGS, U_MAX, U_MIN, lag_windows
-from .plant import MAX_SIZE, MotorParams, make_state, step
+from .plant import MAX_SIZE, MotorParams, check_fields, make_state, step
 from .training import Dataset
 
 # The shortest log that forms one lagged training pattern (see
@@ -27,6 +27,7 @@ class StepExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_steps < 1:
             raise ValueError("num_steps must be positive")
         if self.dwell_samples < 1:
@@ -37,17 +38,12 @@ class StepExperimentConfig:
             )
         if self.num_steps * self.dwell_samples > MAX_SIZE:
             raise ValueError(f"num_steps * dwell_samples must be at most {MAX_SIZE} samples")
-        for name in ("amplitude_min", "amplitude_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude_min >= self.amplitude_max:
             raise ValueError("amplitude_min must be below amplitude_max")
         if not math.isfinite(self.amplitude_max - self.amplitude_min):
             raise ValueError(
                 f"amplitude_max - amplitude_min must be finite, got "
                 f"{self.amplitude_max!r} - {self.amplitude_min!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(eq=False)

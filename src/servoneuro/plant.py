@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,31 @@ import numpy as np
 # width a config may ask for, far past any run of this workbench.  A run
 # within it can still run out of memory; the CLI reports that as exit 1.
 MAX_SIZE = 10**7
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "tuple": (list, tuple)}
+
+
+def check_value(value, kind, name):
+    """Raise a ValueError naming `name` unless `value` has the field type `kind`:
+    int, float, str or tuple (a list or a tuple).  A bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_fields(config):
+    """Check each int, float, str and tuple field of a config dataclass with
+    `check_value`; a float must also be finite and an int (a count or a seed)
+    nonnegative.  A list given for a tuple field is stored as a tuple."""
+    for f in dataclasses.fields(config):
+        kind, value = getattr(f.type, "__name__", f.type), getattr(config, f.name)
+        if kind in _KINDS:
+            check_value(value, kind, f.name)
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if kind == "int" and value < 0:
+            raise ValueError(f"{f.name} must be nonnegative, got {value!r}")
+        if kind == "tuple":
+            object.__setattr__(config, f.name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -26,10 +52,7 @@ class MotorParams:
     noise_sigma: float = 0.02  # tach noise std, volts
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_fields(self)
         if self.gain <= 0:
             raise ValueError("gain must be positive")
         if self.tau <= 0 or self.ts <= 0:

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .mlp import MlpNetwork, error_jacobian, forward_batch, forward_layers
+from .plant import check_fields
 from .scaling import AffineScaling
 
 _TINY = 1e-30
@@ -76,9 +77,7 @@ class LmConfig:
 
     def __post_init__(self):
         # a NaN or infinite lambda never passes lambda_max, so the run would not end
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        check_fields(self)
         if self.lambda_init <= 0 or self.lambda_max <= 0:
             raise ValueError("lambda_init and lambda_max must be positive")
         if self.lambda_init > self.lambda_max:
@@ -100,9 +99,7 @@ class BrConfig:
     beta_init: float = 1e-3  # weight-decay strength
 
     def __post_init__(self):
-        for name in ("alpha_init", "beta_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_fields(self)
         if self.alpha_init <= 0 or self.beta_init <= 0:
             raise ValueError("alpha_init and beta_init must be positive")
 
@@ -115,12 +112,11 @@ class EarlyStopConfig:
     split_seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be positive")
-        if self.split_seed < 0:
-            raise ValueError("split_seed must be nonnegative")
 
 
 class StopReason(Enum):

@@ -103,7 +103,7 @@ class TestConfigLoading:
         [
             ("trainer: {max_epochs: 2.5}", [], "max_epochs"),
             ("network: {init_seed: 1.5}", [], "init_seed"),
-            ("trainer: {algorithm: br, reestimate_every: 1.5}", [], "reestimate_every"),
+            ('trainer: {algorithm: br, alpha_init: "1.0"}', [], "alpha_init"),
             ("trainer: {algorithm: br, max_epochs: true}", [], "max_epochs"),
             ("evaluation: {seeds: 3}", [], "seeds"),
             ("", ["--seed", "-1"], "--seed"),
@@ -213,9 +213,52 @@ class TestConfigLoading:
         assert config.evaluation.seeds == (0, 1, 2)
 
     def test_library_callers_get_the_seed_checks(self):
-        for seeds in [(), (0, -1), (True,), (0, 1.0)]:
+        for seeds in [(), (0, -1), (True,), (0, 1.0), (np.int64(-1),), (np.float64(1.0),),
+                      (np.bool_(True),)]:
             with pytest.raises(ValueError, match="seeds"):
                 EvaluationSpec(seeds=seeds)
+
+    def test_numpy_integer_seeds_follow_the_int_rule(self):
+        assert EvaluationSpec(seeds=(np.int64(1), np.uint8(2))).seeds == (1, 2)
+
+
+# Each config dataclass checks its own field types, so a library caller gets
+# the verdict a config file gets.  Every int, float, str and tuple field of
+# every config class is tried with values of the wrong type or out of range.
+BAD_VALUES = {"int": (True, "1", 1.5, -1), "float": (True, "1", math.nan),
+              "str": (True, 5), "tuple": (True, "1", 3)}
+
+
+def _config_classes():
+    """The config instances to try: WorkbenchConfig's defaults, each dataclass
+    among their field defaults (recursively), and the other trainer configs."""
+    todo, found = [WorkbenchConfig(), BrConfig(), EarlyStopConfig()], {}
+    while todo:
+        config = todo.pop()
+        found.setdefault(type(config), config)
+        todo += [getattr(config, f.name) for f in dataclasses.fields(config)
+                 if dataclasses.is_dataclass(getattr(config, f.name))]
+    return found
+
+
+CONFIGS = _config_classes()
+
+
+def test_every_config_class_is_tried():
+    assert set(CONFIGS) == {
+        WorkbenchConfig, MotorParams, StepExperimentConfig, NetworkSpec, LmConfig, BrConfig,
+        EarlyStopConfig, EvaluationSpec, ctl.ReferenceProfile}
+
+
+@pytest.mark.parametrize(
+    "config,name,bad",
+    [pytest.param(config, f.name, bad, id=f"{cls.__name__}.{f.name}={bad!r}")
+     for cls, config in CONFIGS.items() for f in dataclasses.fields(cls)
+     for bad in BAD_VALUES.get(getattr(f.type, "__name__", f.type), ())],
+)
+def test_every_config_field_checks_its_type(config, name, bad):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        dataclasses.replace(config, **{name: bad})
 
 
 # The shape rule of any network lives in mlp, the 5-in/1-out rule of an

@@ -272,6 +272,20 @@ _PLANTS = st.builds(MotorParams, gain=st.sampled_from([1.0, 0.2, 1.0e307]),
                     noise_sigma=st.sampled_from([0.0, 0.02, 0.05]))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ClosedLoopTrace(np.zeros(3), np.zeros(3), np.zeros(2)), "equal length"),
+        (lambda: ClosedLoopTrace(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))), "1-D"),
+        (lambda: compute_indices(ClosedLoopTrace([], [], [])), "empty trace"),
+    ],
+    ids=["unequal-lengths", "two-dimensional", "empty"],
+)
+def test_invalid_trace_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @st.composite
 def _closed_loop_jobs(draw):
     """A plant, a profile and up to 2 * LOCKSTEP_MIN + 2 (controller, seed)

@@ -13,6 +13,16 @@ from servoneuro.experiment import (
 from servoneuro.plant import MotorParams, steady_state
 
 
+@pytest.mark.parametrize(
+    "u,y",
+    [(np.zeros(10), np.zeros(9)), (np.zeros((10, 2)), np.zeros((10, 2)))],
+    ids=["unequal-lengths", "two-dimensional"],
+)
+def test_iolog_shape_rejected(u, y):
+    with pytest.raises(ValueError, match="u and y must be 1-D series of equal length"):
+        IoLog(u, y)
+
+
 class TestStepExperiment:
     def test_series_length(self, quiet):
         cfg = StepExperimentConfig(num_steps=3, dwell_samples=100, seed=0)

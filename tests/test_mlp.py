@@ -173,6 +173,31 @@ class TestErrorJacobian:
         assert np.max(np.abs(J - Jfd) / (1.0 + np.abs(Jfd))) < 1e-6
 
 
+# The shape errors of the batch forward pass and the Jacobian.
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: mlp.forward_layers(mlp.init_weights([5, 3, 1], ["tanh", "linear"], 0, 0.5),
+                                    np.zeros((2, 4))), "does not match network input width 5"),
+        (lambda: mlp.forward_layers(mlp.init_weights([5, 3, 1], ["tanh", "linear"], 0, 0.5),
+                                    np.zeros(5)), "does not match network input width 5"),
+        (lambda: mlp.error_jacobian(mlp.init_weights([2, 3, 2], ["tanh", "linear"], 0, 0.5),
+                                    [np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 2))]),
+         "single-output"),
+    ],
+    ids=["forward-width", "forward-1d", "jacobian-two-outputs"],
+)
+def test_shape_errors_rejected(build, message):
+    with pytest.raises(ArchitectureError, match=message):
+        build()
+
+
+def test_network_equality_with_another_type_is_not_implemented():
+    net = mlp.init_weights([5, 3, 1], ["tanh", "linear"], 0, 0.5)
+    assert net.__eq__(net.weights) is NotImplemented
+    assert net != "net"
+
+
 class TestFlattenUnflatten:
     def test_round_trip(self):
         net = mlp.init_weights([5, 10, 1], ["tanh", "linear"], seed=6, scale=0.5)

@@ -522,6 +522,30 @@ class TestSplitDataset:
             split_dataset(ds, 0.01, seed=0)
 
 
+# The shape rules of a dataset and the fraction rule of a split.
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Dataset(np.zeros((3, 2)), np.zeros((2, 1)), unit_scaling(2), unit_scaling(1)),
+         "pattern count"),
+        (lambda: Dataset(np.zeros((0, 2)), np.zeros((0, 1)), unit_scaling(2), unit_scaling(1)),
+         "at least one pattern"),
+        (lambda: Dataset(np.zeros((3, 2)), np.zeros((3, 1)), unit_scaling(3), unit_scaling(1)),
+         "input scaling width"),
+        (lambda: Dataset(np.zeros((3, 2)), np.zeros((3, 1)), unit_scaling(2), unit_scaling(2)),
+         "target scaling width"),
+        (lambda: split_dataset(identity_dataset(np.zeros((4, 2)), np.zeros((4, 1))), 0.0, 0),
+         r"fraction must be in \(0, 1\)"),
+        (lambda: split_dataset(identity_dataset(np.zeros((4, 2)), np.zeros((4, 1))), 1.0, 0),
+         r"fraction must be in \(0, 1\)"),
+    ],
+    ids=["pattern-count", "empty", "input-width", "target-width", "fraction-0", "fraction-1"],
+)
+def test_invalid_dataset_or_split_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestReportCsv:
     def test_columns_and_blanks(self, tmp_path):
         ds = sine_dataset(noise=0.05)
